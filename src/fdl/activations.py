@@ -135,6 +135,8 @@ class ActivationSpec:
 def relu_bias(z, t=0.0):
     """Rectifier with threshold: ``(z - t)_+``."""
     z = np.asarray(z, dtype=float)
+    if np.isscalar(t) and t == 0.0:  # z - 0.0 is z bit for bit: skip that pass
+        return np.maximum(z, 0.0)
     return np.maximum(z - _broadcast(t, z), 0.0)
 
 

@@ -29,7 +29,6 @@ from .network import (
     NetworkSpec,
     Resample,
     SkipAdd,
-    SkipConcat,
     validate_spec,
 )
 from .network import _main_input  # shared layer-graph helper
@@ -106,7 +105,7 @@ def _strip_residual(spec: NetworkSpec) -> NetworkSpec:
     for old in kept:
         layer = layers[old]
         source = remap(_main_input(old, layer))
-        if isinstance(layer, (SkipAdd, SkipConcat)):
+        if isinstance(layer, SkipAdd):
             layer = replace(layer, from_=remap(layer.from_), source=source)
         else:
             layer = replace(layer, source=source)
@@ -307,7 +306,7 @@ def equivalent_filter(net: Network, grid=None, pct_tol=0.05) -> np.ndarray:
     for idx, layer in enumerate(spec.layers):
         if _main_input(idx, layer) != idx - 1:
             raise ConfigError("equivalent filter: only chain topologies are supported")
-        if isinstance(layer, (SkipAdd, SkipConcat, Resample)):
+        if isinstance(layer, (SkipAdd, Resample)):
             raise ConfigError(
                 f"equivalent filter: layer {idx} ({type(layer).__name__}) makes the "
                 "network shift-variant or non-collapsible"
@@ -404,7 +403,7 @@ def count_flops(spec: NetworkSpec, n_r, n_c) -> int:
                 rows, cols = rows // layer.s, cols // layer.s
             else:
                 rows, cols = rows * layer.s, cols * layer.s
-        elif isinstance(layer, (SkipAdd, SkipConcat)):
+        elif isinstance(layer, SkipAdd):
             other = res_of(layer.from_)
             if other != (rows, cols):
                 raise ShapeError(f"layer {idx}: skip joins different resolutions")

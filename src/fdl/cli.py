@@ -136,19 +136,27 @@ def _env_seed():
         raise CommandLineError(f"FDL_SEED must be an integer, got {raw!r}") from exc
 
 
-def _write_manifest(run_dir, argv, config, seed, outputs, started):
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _finish_run(run_dir, argv, started, config, files=None, seed=None):
+    """Complete a run directory: write each ``name: payload`` of ``files``
+    as JSON, then ``manifest.json`` listing every file under ``run_dir``."""
+    os.makedirs(run_dir, exist_ok=True)
+    for name, payload in (files or {}).items():
+        _write_json(os.path.join(run_dir, name), payload)
     manifest = {
         "command": ["fdl"] + list(argv),
         "config": config,
         "seed": seed,
         "version": _version(),
-        "outputs": sorted(outputs),
+        "outputs": sorted(_listdir_rel(run_dir)),
         "wall_clock_s": round(time.time() - started, 3),
     }
-    path = os.path.join(run_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(run_dir, "manifest.json"), manifest)
 
 
 def _version():
@@ -243,7 +251,6 @@ def _cmd_denoise(args, argv):
 
             demo = lowrank_denoise_demo(y, sigma=args.sigma, ranks=ranks, seed=0)
             run_dir = args.out or os.path.join("runs", "denoise")
-            os.makedirs(run_dir, exist_ok=True)
             write_lowrank_demo(demo, run_dir)
             metrics = {
                 "method": "svd-lowrank-demo",
@@ -253,10 +260,7 @@ def _cmd_denoise(args, argv):
                 "snr_clean_recon_db": list(demo.snr_clean),
                 "snr_noisy_recon_db": list(demo.snr_noisy),
             }
-            with open(os.path.join(run_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-                json.dump(metrics, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            _write_manifest(run_dir, argv, metrics, None, _listdir_rel(run_dir), started)
+            _finish_run(run_dir, argv, started, metrics, {"metrics.json": metrics})
             print(json.dumps(metrics, indent=2, sort_keys=True))
             return EXIT_OK
         factors = svd(y[0, 0])
@@ -283,10 +287,7 @@ def _cmd_denoise(args, argv):
     run_dir = args.out or os.path.join("runs", "denoise")
     os.makedirs(run_dir, exist_ok=True)
     write_pgm(os.path.join(run_dir, "denoised.pgm"), out)
-    with open(os.path.join(run_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(metrics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(run_dir, argv, params, None, _listdir_rel(run_dir), started)
+    _finish_run(run_dir, argv, started, params, {"metrics.json": metrics})
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -300,11 +301,7 @@ def _cmd_analyze_pr(args, argv):
     payload = report.to_json()
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "pr_report.json"), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(args.out, argv, {"spec": args.spec}, None, _listdir_rel(args.out), started)
+        _finish_run(args.out, argv, started, {"spec": args.spec}, {"pr_report.json": payload})
     return EXIT_OK
 
 
@@ -316,12 +313,8 @@ def _cmd_flops(args, argv):
     total = count_flops(spec, args.rows, args.cols)
     print(total)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         payload = {"spec": args.spec, "rows": args.rows, "cols": args.cols, "flops": total}
-        with open(os.path.join(args.out, "flops.json"), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(args.out, argv, payload, None, _listdir_rel(args.out), started)
+        _finish_run(args.out, argv, started, payload, {"flops.json": payload})
     return EXIT_OK
 
 
@@ -343,12 +336,10 @@ def _cmd_train(args, argv):
     model = build_toy(seed=cfg.seed, init_mode=cfg.init_mode, bias_mode=cfg.bias_mode)
     history = train(model, cfg)
     run_dir = args.out or os.path.join("runs", f"train-seed{cfg.seed}")
-    os.makedirs(run_dir, exist_ok=True)
     save_checkpoint(model, os.path.join(run_dir, "checkpoint"))
-    with open(os.path.join(run_dir, "history.json"), "w", encoding="utf-8") as fh:
-        json.dump(history.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(run_dir, argv, cfg.to_json(), cfg.seed, _listdir_rel(run_dir), started)
+    _finish_run(
+        run_dir, argv, started, cfg.to_json(), {"history.json": history.to_json()}, cfg.seed
+    )
     last = history.epochs[-1] if history.epochs else {}
     print(json.dumps({"run_dir": run_dir, "final": last}, indent=2, sort_keys=True))
     return EXIT_OK
@@ -372,7 +363,6 @@ def _cmd_experiment(args, argv):
         test_image_size=args.test_image_size,
     )
     run_dir = args.out or os.path.join("runs", f"{args.name}-seed{seed}")
-    os.makedirs(run_dir, exist_ok=True)
     report = run_named_experiment(args.name, cfg, run_dir)
     config_snapshot = {
         "experiment": args.name,
@@ -385,7 +375,7 @@ def _cmd_experiment(args, argv):
         "lr_initial": cfg.lr_initial,
         "batch_size": cfg.batch_size,
     }
-    _write_manifest(run_dir, argv, config_snapshot, seed, _listdir_rel(run_dir), started)
+    _finish_run(run_dir, argv, started, config_snapshot, seed=seed)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -2,23 +2,26 @@
 
 A :class:`NetworkSpec` is an ordered list of layers forming a DAG: each
 layer consumes the previous layer's output unless it names an explicit
-``source`` (by index, ``-1`` for the network input).  Skip layers merge an
-earlier output into the chain, either by addition or channel
-concatenation.  A skip marked ``residual`` is an identity shortcut around
-an encoder-decoder block; the reconstruction analyzer removes those before
-probing, as does the global subtractive wrapper selected by
-``NetworkSpec.residual``.
+``source`` (by index, ``-1`` for the network input).  Skip layers add an
+earlier output into the chain.  A skip marked ``residual`` is an identity
+shortcut around an encoder-decoder block; the reconstruction analyzer
+removes those before probing, as does the global subtractive wrapper
+selected by ``NetworkSpec.residual``.
 
-Specs carry no weights.  :class:`Network` binds concrete kernels and
-biases to a spec and evaluates it on images with the tensor runtime; the
-fixed filter banks behind DWT-style resampling layers are bound
-automatically.
+Specs carry no weights.  :func:`evaluate` is the one interpreter of a
+spec: it walks the layers once over any op set, plain arrays
+(:data:`NUMPY_OPS`) or differentiable nodes (:mod:`fdl.autodiff`).
+:class:`Network` binds concrete kernels and biases to a spec and evaluates
+it on images with the tensor runtime; the fixed filter banks behind
+DWT-style resampling layers are bound automatically.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,9 +35,10 @@ __all__ = [
     "Activation",
     "Resample",
     "SkipAdd",
-    "SkipConcat",
     "NetworkSpec",
     "Network",
+    "NUMPY_OPS",
+    "evaluate",
     "build_unet",
     "build_red",
     "build_lwfsn",
@@ -80,12 +84,6 @@ class Resample:
 class SkipAdd:
     from_: int
     residual: bool = False
-    source: int | None = None
-
-
-@dataclass(frozen=True)
-class SkipConcat:
-    from_: int
     source: int | None = None
 
 
@@ -168,9 +166,6 @@ def validate_spec(spec: NetworkSpec) -> list:
                     f"layer {idx}: skip-add channel mismatch ({c_in} vs {other})"
                 )
             channels.append(c_in)
-        elif isinstance(layer, SkipConcat):
-            _check_ref(idx, layer.from_, "skip reference")
-            channels.append(c_in + channels_of(layer.from_))
         else:
             raise ConfigError(f"layer {idx}: unknown layer type {type(layer).__name__}")
     if spec.residual and spec.layers:
@@ -345,8 +340,6 @@ def spec_to_json(spec: NetworkSpec) -> dict:
             }
         elif isinstance(layer, SkipAdd):
             entry = {"type": "skip_add", "from": layer.from_, "residual": layer.residual}
-        elif isinstance(layer, SkipConcat):
-            entry = {"type": "skip_concat", "from": layer.from_}
         else:  # pragma: no cover - validate_spec rejects these earlier
             raise ConfigError(f"unknown layer type {type(layer).__name__}")
         if layer.source is not None:
@@ -397,8 +390,6 @@ def spec_from_json(payload: dict) -> NetworkSpec:
                         source=source,
                     )
                 )
-            elif kind == "skip_concat":
-                layers.append(SkipConcat(from_=int(entry["from"]), source=source))
             else:
                 raise ConfigError(f"unknown layer type {kind!r}")
         except (KeyError, TypeError, ValueError) as exc:
@@ -440,15 +431,71 @@ def _per_channel_bank(filters, channels):
     return bank
 
 
-def _resample_banks(kind, channels):
+def _resample_bank(layer: Resample, c_in):
+    """Fixed kernel of a DWT resampling layer with ``c_in`` input channels:
+    the analysis bank going down, the transposed synthesis bank going up
+    (whose input holds one channel per band and base channel)."""
     bank = haar_dwt()
-    table = {
+    forward, inverse = {
         "dwt_low": (bank.w_low, bank.w_low_tilde),
         "dwt_high": (bank.w_high, bank.w_high_tilde),
         "dwt_full": (bank.w, bank.w_tilde),
-    }
-    forward, inverse = table[kind]
-    return _per_channel_bank(forward, channels), _per_channel_bank(inverse, channels)
+    }[layer.kind]
+    if layer.direction == "down":
+        return _per_channel_bank(forward, c_in)
+    return tensor_transpose(_per_channel_bank(inverse, c_in // inverse.shape[0]))
+
+
+# The op set of :func:`evaluate` on plain arrays; :mod:`fdl.autodiff`
+# provides the same names on graph nodes.
+NUMPY_OPS = SimpleNamespace(
+    conv=lambda kernel, x: conv2d(kernel, x),
+    add_bias=lambda x, bias: x + bias[:, None, None, None],
+    act=lambda x, spec: apply_activation(spec, x),
+    down=lambda x, s: downsample(x, s),
+    up=lambda x, s: upsample(x, s),
+    add=operator.add,
+    sub=operator.sub,
+)
+
+
+def evaluate(spec: NetworkSpec, conv_weights, x, ops):
+    """Evaluate ``spec`` on ``x`` with the op set ``ops``.
+
+    ``ops`` supplies ``conv, add_bias, act, down, up, add, sub``: either
+    :data:`NUMPY_OPS` over arrays or :mod:`fdl.autodiff` over graph nodes.
+    ``conv_weights`` holds one ``(kernel, bias_or_None)`` pair, in the form
+    ``ops`` takes, per Conv layer and per DWT resampling layer in spec
+    order; a resampling layer's kernel is its fixed bank.  Only the outputs
+    that a later layer names as ``source`` or ``from_`` are kept alive.
+    """
+    named = {ref for layer in spec.layers for ref in (layer.source, getattr(layer, "from_", None))}
+    kept = {-1: x}
+    weights = iter(conv_weights)
+    out = x
+    for idx, layer in enumerate(spec.layers):
+        if layer.source is not None:
+            out = kept[layer.source]
+        if isinstance(layer, Conv):
+            kernel, bias = next(weights)
+            out = ops.conv(kernel, out)
+            if bias is not None:
+                out = ops.add_bias(out, bias)
+        elif isinstance(layer, Activation):
+            out = ops.act(out, layer.spec)
+        elif isinstance(layer, Resample) and layer.direction == "down":
+            if layer.kind != "plain":
+                out = ops.conv(next(weights)[0], out)
+            out = ops.down(out, layer.s)
+        elif isinstance(layer, Resample):
+            out = ops.up(out, layer.s)
+            if layer.kind != "plain":
+                out = ops.conv(next(weights)[0], out)
+        else:  # SkipAdd
+            out = ops.add(out, kept[layer.from_])
+        if idx in named:
+            kept[idx] = out
+    return ops.sub(x, out) if spec.residual else out
 
 
 class Network:
@@ -466,9 +513,7 @@ class Network:
             raise ConfigError(
                 f"expected {len(conv_layers)} weight pairs, got {len(conv_weights)}"
             )
-        self._kernels = {}
-        self._biases = {}
-        self._banks = {}
+        self._weights = {}  # layer index -> (kernel, bias_or_None), in spec order
         weight_iter = iter(conv_weights)
         for idx, layer in enumerate(spec.layers):
             if isinstance(layer, Conv):
@@ -483,16 +528,11 @@ class Network:
                         raise ShapeError(f"layer {idx}: bias shape {bias.shape}")
                 else:
                     bias = None
-                self._kernels[idx] = kernel
-                self._biases[idx] = bias
+                self._weights[idx] = (kernel, bias)
             elif isinstance(layer, Resample) and layer.kind != "plain":
                 src = _main_input(idx, layer)
                 c_in = spec.input_channels if src == -1 else channels[src]
-                # banks are built per base channel; an up-resample receives
-                # bands * base channels
-                bands = {"dwt_low": 1, "dwt_high": 3, "dwt_full": 4}[layer.kind]
-                base = c_in if layer.direction == "down" else c_in // bands
-                self._banks[idx] = _resample_banks(layer.kind, base)
+                self._weights[idx] = (_resample_bank(layer, c_in), None)
 
     def run(self, image) -> np.ndarray:
         """Evaluate the network on an image (or multi-channel tensor)."""
@@ -501,43 +541,10 @@ class Network:
             raise ShapeError(
                 f"input has {x_in.shape[0]} channels, spec wants {self.spec.input_channels}"
             )
-        outputs = []
-
-        def fetch(ref):
-            return x_in if ref == -1 else outputs[ref]
-
-        for idx, layer in enumerate(self.spec.layers):
-            x = fetch(_main_input(idx, layer))
-            if isinstance(layer, Conv):
-                x = conv2d(self._kernels[idx], x)
-                if self._biases[idx] is not None:
-                    x = x + self._biases[idx][:, None, None, None]
-            elif isinstance(layer, Activation):
-                x = apply_activation(layer.spec, x)
-            elif isinstance(layer, Resample):
-                if layer.kind == "plain":
-                    x = downsample(x, layer.s) if layer.direction == "down" else upsample(x, layer.s)
-                else:
-                    forward, inverse = self._banks[idx]
-                    if layer.direction == "down":
-                        x = downsample(conv2d(forward, x), 2)
-                    else:
-                        x = conv2d(tensor_transpose(inverse), upsample(x, 2))
-            elif isinstance(layer, SkipAdd):
-                x = x + fetch(layer.from_)
-            elif isinstance(layer, SkipConcat):
-                x = np.concatenate([x, fetch(layer.from_)], axis=0)
-            outputs.append(x)
-        result = outputs[-1] if outputs else x_in
-        if self.spec.residual:
-            result = x_in - result
-        return result
-
-    def conv_indices(self):
-        return [i for i, l in enumerate(self.spec.layers) if isinstance(l, Conv)]
+        return evaluate(self.spec, self._weights.values(), x_in, NUMPY_OPS)
 
     def kernel_at(self, idx):
-        return self._kernels[idx]
+        return self._weights[idx][0]
 
     def bias_at(self, idx):
-        return self._biases[idx]
+        return self._weights[idx][1]

@@ -24,9 +24,9 @@ from . import autodiff as ad
 from .datasets import NoiseModel, TriangleDatasetConfig, add_noise, gen_triangles
 from .errors import ConfigError, NumericError
 from .metrics import snr_db
-from .network import TOY_WIDTHS
+from .network import NUMPY_OPS, TOY_WIDTHS, build_toy_spec, evaluate
 from .optim import Adam, xavier_uniform_init
-from .tensor import as_image, conv2d, tensor_transpose
+from .tensor import as_image, tensor_transpose
 
 __all__ = [
     "TrainConfig",
@@ -87,9 +87,11 @@ class TrainConfig:
 class ToyModel:
     """Encoder-decoder model with symmetric channel widths.
 
-    Decoder kernels are stored with the same shape as their encoder
-    partners and applied through the tensor transpose, which keeps the
-    pairing between the two sides explicit.
+    The layer graph is :func:`~fdl.network.build_toy_spec`; the model binds
+    its parameters to that spec and evaluates it with
+    :func:`~fdl.network.evaluate`.  Decoder kernels are stored with the
+    same shape as their encoder partners and applied through the tensor
+    transpose, which keeps the pairing between the two sides explicit.
     """
 
     def __init__(self, enc_kernels, enc_biases, dec_kernels, dec_biases, bias_mode="learned"):
@@ -98,6 +100,7 @@ class ToyModel:
         self.dec_kernels = dec_kernels
         self.dec_biases = dec_biases
         self.bias_mode = bias_mode
+        self.spec = build_toy_spec(self.widths, enc_kernels[0].value.shape[-1])
 
     @property
     def widths(self):
@@ -106,14 +109,17 @@ class ToyModel:
     def parameters(self):
         return list(self.enc_kernels) + self.enc_biases + list(self.dec_kernels) + self.dec_biases
 
+    def _bind(self, kernel, transpose, bias):
+        """One (kernel, bias) pair per conv of ``self.spec``: the encoder
+        levels, then the decoder levels deepest first, transposed."""
+        enc = [(kernel(k), bias(b)) for k, b in zip(self.enc_kernels, self.enc_biases)]
+        dec = [(transpose(kernel(k)), bias(b)) for k, b in zip(self.dec_kernels, self.dec_biases)]
+        return enc + dec[::-1]
+
     def forward(self, y) -> ad.Node:
         """Differentiable forward pass on a (1, 1, H, W) image."""
-        x = ad.constant(as_image(y))
-        for kernel, bias in zip(self.enc_kernels, self.enc_biases):
-            x = ad.relu(ad.add_bias(ad.conv(kernel, x), bias))
-        for kernel, bias in zip(reversed(self.dec_kernels), reversed(self.dec_biases)):
-            x = ad.relu(ad.add_bias(ad.conv(ad.transpose(kernel), x), bias))
-        return x
+        weights = self._bind(lambda k: k, ad.transpose, lambda b: b)
+        return evaluate(self.spec, weights, ad.constant(as_image(y)), ad)
 
     def predict(self, y, bias_scale=1.0, zero_bias=False) -> np.ndarray:
         """Plain numpy inference with optional bias surgery.
@@ -122,18 +128,12 @@ class ToyModel:
         scales by the estimated over trained noise level); ``zero_bias``
         drops them entirely.
         """
-        x = as_image(y)
 
-        def biased(z, b):
-            if zero_bias:
-                return z
-            return z + bias_scale * b.value[:, None, None, None]
+        def bias(b):
+            return None if zero_bias else bias_scale * b.value
 
-        for kernel, bias in zip(self.enc_kernels, self.enc_biases):
-            x = np.maximum(biased(conv2d(kernel.value, x), bias), 0.0)
-        for kernel, bias in zip(reversed(self.dec_kernels), reversed(self.dec_biases)):
-            x = np.maximum(biased(conv2d(tensor_transpose(kernel.value), x), bias), 0.0)
-        return x
+        weights = self._bind(lambda k: k.value, tensor_transpose, bias)
+        return evaluate(self.spec, weights, as_image(y), NUMPY_OPS)
 
     def deepest_pair(self):
         """Encoder/decoder kernel values of the deepest level."""
@@ -280,13 +280,13 @@ def train(model: ToyModel, cfg: TrainConfig) -> TrainHistory:
 CHECKPOINT_FORMAT = "fdl-checkpoint-v1"
 
 
+# parameter groups, in the order of the ToyModel arguments
+_GROUPS = ("enc_kernel", "enc_bias", "dec_kernel", "dec_bias")
+
+
 def _param_entries(model: ToyModel):
-    for group, params in (
-        ("enc_kernel", model.enc_kernels),
-        ("enc_bias", model.enc_biases),
-        ("dec_kernel", model.dec_kernels),
-        ("dec_bias", model.dec_biases),
-    ):
+    groups = (model.enc_kernels, model.enc_biases, model.dec_kernels, model.dec_biases)
+    for group, params in zip(_GROUPS, groups):
         for level, param in enumerate(params):
             yield f"{group}_{level}", param
 
@@ -328,25 +328,23 @@ def load_checkpoint(directory) -> ToyModel:
             manifest = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"no checkpoint manifest at {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cannot parse checkpoint manifest {path}: {exc}") from exc
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"unsupported checkpoint format {manifest.get('format')!r}")
     values = {}
-    for entry in manifest["parameters"]:
-        raw = np.fromfile(os.path.join(directory, entry["file"]), dtype="<f8")
-        values[entry["name"]] = (raw.reshape(entry["shape"]), entry["trainable"])
-
-    def fetch(prefix, count):
-        out = []
-        for level in range(count):
-            value, trainable = values[f"{prefix}_{level}"]
-            out.append(ad.Parameter(value, trainable=trainable))
-        return out
-
-    levels = len(manifest["widths"])
-    return ToyModel(
-        enc_kernels=fetch("enc_kernel", levels),
-        enc_biases=fetch("enc_bias", levels),
-        dec_kernels=fetch("dec_kernel", levels),
-        dec_biases=fetch("dec_bias", levels),
-        bias_mode=manifest.get("bias_mode", "learned"),
-    )
+    try:
+        for entry in manifest["parameters"]:
+            file = os.path.join(directory, entry["file"])
+            got, want = os.path.getsize(file), 8 * int(np.prod(entry["shape"]))
+            if got != want:
+                raise ConfigError(
+                    f"checkpoint file {file} holds {got} bytes, shape {entry['shape']} needs {want}"
+                )
+            raw = np.fromfile(file, dtype="<f8")
+            values[entry["name"]] = ad.Parameter(raw.reshape(entry["shape"]), entry["trainable"])
+        levels = range(len(manifest["widths"]))
+        groups = [[values[f"{group}_{level}"] for level in levels] for group in _GROUPS]
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint {path} has no entry {exc.args[0]}") from exc
+    return ToyModel(*groups, bias_mode=manifest.get("bias_mode", "learned"))

@@ -46,6 +46,10 @@ class TestScalarMaps:
         assert relu_bias(-1.0, 0.0) == 0.0
         assert relu_bias(0.2, 0.2) == 0.0
 
+    def test_relu_zero_threshold_is_general_formula_bitwise(self):
+        z = np.array([-0.0, 0.0, -1e-300, 1e-300, -2.5, 2.5, np.inf, -np.inf, np.nan])
+        assert relu_bias(z, 0.0).tobytes() == np.maximum(z - 0.0, 0.0).tobytes()
+
     def test_soft_shrink_values(self):
         assert soft_shrink(5.0, 2.0) == pytest.approx(3.0)
         assert soft_shrink(-5.0, 2.0) == pytest.approx(-3.0)

@@ -7,6 +7,7 @@ from fdl import autodiff as ad
 from fdl import tensor
 from fdl.activations import ActivationSpec
 from fdl.errors import ConfigError
+from fdl.network import Conv, Network, build_red, evaluate
 from fdl.optim import Adam, xavier_bound, xavier_uniform_init
 
 
@@ -250,3 +251,39 @@ class TestXavier:
 
     def test_fan_formula(self):
         assert xavier_bound((6, 1, 3, 3)) == pytest.approx(np.sqrt(6.0 / (9 + 54)))
+
+
+class TestSpecEvaluator:
+    """``evaluate`` over the autodiff op set, on a spec with skips, residual
+    shortcuts and rectifiers."""
+
+    def setup_method(self):
+        self.spec = build_red(4, 8)
+        self.convs = [layer for layer in self.spec.layers if isinstance(layer, Conv)]
+        self.rng = np.random.default_rng(11)
+        self.values = []
+        for layer in self.convs:
+            shape = (layer.out_ch, layer.in_ch, layer.n_f, layer.n_f)
+            self.values.append(self.rng.normal(scale=0.3, size=shape))
+            if layer.bias:
+                self.values.append(self.rng.normal(scale=0.1, size=layer.out_ch))
+        self.x = self.rng.normal(size=(1, 1, 8, 8))
+
+    def weights(self, params):
+        it = iter(params)
+        return [(next(it), next(it) if layer.bias else None) for layer in self.convs]
+
+    def test_gradients(self):
+        x = ad.constant(self.x)
+        target = ad.constant(self.rng.normal(size=(1, 1, 8, 8)))
+        check_gradients(
+            lambda ps: ad.mse(evaluate(self.spec, self.weights(ps), x, ad), target),
+            self.values,
+            self.rng,
+        )
+
+    def test_matches_network_run_bitwise(self):
+        params = [ad.Parameter(v) for v in self.values]
+        out = evaluate(self.spec, self.weights(params), ad.constant(self.x), ad)
+        net = Network(self.spec, self.weights(self.values))
+        assert out.value.tobytes() == net.run(self.x).tobytes()

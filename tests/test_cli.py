@@ -180,6 +180,23 @@ class TestAnalyzeAndFlops:
         assert result.returncode == 3
         assert "layer 0" in result.stderr
 
+    def test_skip_concat_is_not_a_layer_type(self, tmp_path):
+        from fdl.errors import ConfigError
+        from fdl.network import spec_from_json
+
+        layers = [
+            {"type": "conv", "out_ch": 2, "in_ch": 1},
+            {"type": "skip_concat", "from": -1},
+            {"type": "conv", "out_ch": 1, "in_ch": 3},
+        ]
+        with pytest.raises(ConfigError, match="skip_concat"):
+            spec_from_json({"layers": layers})
+        bad = tmp_path / "concat.json"
+        bad.write_text(json.dumps({"layers": layers}))
+        result = run_cli(["analyze-pr", str(bad)], cwd=tmp_path)
+        assert result.returncode == 3
+        assert "skip_concat" in result.stderr
+
     def test_unknown_spec_exit_2(self, tmp_path):
         result = run_cli(["analyze-pr", "absent"], cwd=tmp_path)
         assert result.returncode == 2
@@ -246,6 +263,46 @@ class TestTrainCommand:
         assert result.returncode == 0, result.stderr
         metrics = json.loads((tmp_path / "den" / "metrics.json").read_text())
         assert metrics["snr_gain_db"] > 0
+
+
+class TestDamagedCheckpoint:
+    """A damaged checkpoint is a bad parameter (exit 3), not a traceback."""
+
+    @pytest.fixture
+    def checkpoint(self, workdir):
+        from fdl.training import build_toy, save_checkpoint
+
+        save_checkpoint(build_toy(seed=0), workdir / "ckpt")
+        return workdir / "ckpt"
+
+    def denoise(self, workdir):
+        args = ["denoise", "noisy.pgm", "--method", "model", "--checkpoint", "ckpt"]
+        return run_cli(args + ["--out", "den"], cwd=workdir)
+
+    def test_truncated_file_exit_3(self, workdir, checkpoint):
+        path = checkpoint / "dec_kernel_1.f64"
+        path.write_bytes(path.read_bytes()[:-13])
+        result = self.denoise(workdir)
+        assert result.returncode == 3, result.stderr
+        assert "dec_kernel_1.f64" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_missing_entry_exit_3(self, workdir, checkpoint):
+        manifest = json.loads((checkpoint / "checkpoint.json").read_text())
+        manifest["parameters"] = [
+            e for e in manifest["parameters"] if e["name"] != "enc_bias_2"
+        ]
+        (checkpoint / "checkpoint.json").write_text(json.dumps(manifest))
+        result = self.denoise(workdir)
+        assert result.returncode == 3, result.stderr
+        assert "enc_bias_2" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_unparseable_manifest_exit_3(self, workdir, checkpoint):
+        (checkpoint / "checkpoint.json").write_text('{"format": "fdl-checkpoint-v1", ')
+        result = self.denoise(workdir)
+        assert result.returncode == 3, result.stderr
+        assert "cannot parse checkpoint manifest" in result.stderr
 
 
 def tree_bytes(root, skip=("manifest.json",)):

@@ -162,6 +162,33 @@ class TestToyModel:
             assert not b.trainable
             np.testing.assert_array_equal(b.value, 0.0)
 
+    @staticmethod
+    def perturbed(init_mode, bias_mode="learned"):
+        model = build_toy(seed=6, init_mode=init_mode, bias_mode=bias_mode)
+        rng = np.random.default_rng(6)
+        for p in model.parameters():
+            if p.trainable:
+                p.value += rng.normal(scale=0.05, size=p.value.shape)
+        return model, rng.uniform(size=(1, 1, 16, 16))
+
+    @pytest.mark.parametrize("bias_mode", ["learned", "zero_fixed"])
+    @pytest.mark.parametrize("init_mode", ["independent", "shared_enc_dec", "pct_delta"])
+    def test_predict_is_forward_bitwise(self, init_mode, bias_mode):
+        model, y = self.perturbed(init_mode, bias_mode)
+        assert model.predict(y).tobytes() == model.forward(y).value.tobytes()
+
+    def test_bias_surgery_is_forward_with_those_biases(self):
+        model, y = self.perturbed("shared_enc_dec")
+        scaled = model.predict(y, bias_scale=1.7)
+        dropped = model.predict(y, zero_bias=True)
+        biases = model.enc_biases + model.dec_biases
+        for b in biases:
+            b.value *= 1.7
+        assert scaled.tobytes() == model.forward(y).value.tobytes()
+        for b in biases:
+            b.value[:] = 0.0
+        np.testing.assert_array_equal(dropped, model.forward(y).value)
+
     def test_adaptive_scale_one_is_baseline(self):
         model = build_toy(seed=4, init_mode="shared_enc_dec")
         y = piecewise_scene(32)

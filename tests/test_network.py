@@ -154,6 +154,17 @@ class TestRuntime:
         y = rng.normal(size=(1, 1, 8, 8))
         np.testing.assert_array_equal(net.run(y), y)
 
+    def test_dwt_full_round_trip(self):
+        spec = NetworkSpec(
+            layers=(Resample("down", "dwt_full"), Resample("up", "dwt_full")),
+            input_channels=2,
+            name="dwt_full",
+        )
+        assert validate_spec(spec) == [8, 2]
+        assert spec_from_json(spec_to_json(spec)) == spec
+        y = np.random.default_rng(3).normal(size=(2, 1, 16, 16))
+        np.testing.assert_allclose(Network(spec, []).run(y), y, rtol=0, atol=1e-12)
+
     def test_shape_preservation_all_builders(self):
         for spec in (build_unet(4, 8), build_red(4, 8), build_lwfsn(4), build_rlwfsn(4), build_toy_spec()):
             net = ideal_instantiation(_strip_residual(spec))
