@@ -8,8 +8,11 @@ differentiated once by a topological sweep.
 
 Gradients accumulate into ``Node.grad``; parameters start with a zero
 gradient so a parameter that does not influence the loss simply keeps it.
-A graph is intended to be built, back-propagated and discarded; training
-loops create a fresh graph per step.
+A node needs a gradient only if some trainable parameter lies upstream of
+it: no vector-Jacobian product (VJP) is evaluated toward constants, such
+as the input image, or toward frozen parameters, whose gradient stays
+zero.  A graph is intended to be built, back-propagated and discarded;
+training loops create a fresh graph per step.
 """
 
 from __future__ import annotations
@@ -42,18 +45,22 @@ __all__ = [
 class Node:
     """One value in the computation graph."""
 
-    __slots__ = ("value", "grad", "parents", "vjps")
+    __slots__ = ("value", "grad", "parents", "vjps", "needs_grad")
 
     def __init__(self, value, parents=(), vjps=()):
         self.value = value
         self.grad = None
         self.parents = parents
         self.vjps = vjps
+        self.needs_grad = any(p.needs_grad for p in parents)
 
     def _accumulate(self, g):
+        """Add ``g``, which no other node holds, into this node's gradient;
+        the first one is kept as it is."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            self.grad = g
+        else:
+            self.grad += g
 
 
 class Parameter(Node):
@@ -64,6 +71,7 @@ class Parameter(Node):
     def __init__(self, value, trainable=True):
         super().__init__(np.asarray(value, dtype=np.float64))
         self.trainable = trainable
+        self.needs_grad = trainable
         self.grad = np.zeros_like(self.value)
 
     def zero_grad(self):
@@ -81,19 +89,34 @@ def conv(kernel: Node, signal: Node) -> Node:
     if kval.shape[1] != sval.shape[0]:
         raise ShapeError(f"channel mismatch: kernel {kval.shape} vs signal {sval.shape}")
     out, stack = T._conv_forward(kval, sval)
+    if stack is not None:  # expanding: the kernel gradient reuses the input's stack
 
-    def d_kernel(g):
-        return T._conv_grad_kernel(stack, g, kval.shape)
+        def d_kernel(g):
+            return T._conv_grad_kernel(stack, g, kval.shape)
 
-    def d_signal(g):
-        return T._conv_grad_signal(kval, g)
+        def d_signal(g):
+            return T._conv_grad_signal(kval, g)
+
+    else:  # contracting: both gradients share one stack of the upstream gradient
+        cache = [None, None]  # (upstream gradient, its correlate stack)
+
+        def grad_stack(g):
+            if cache[0] is not g:
+                cache[:] = g, T._shift_stack(g, *kval.shape[2:], correlate=True)
+            return cache[1]
+
+        def d_kernel(g):
+            return T._conv_grad_kernel(grad_stack(g), sval, kval.shape)
+
+        def d_signal(g):
+            return T._conv_grad_signal(kval, g, stack=grad_stack(g))
 
     return Node(out, (kernel, signal), (d_kernel, d_signal))
 
 
 def transpose(node: Node) -> Node:
     value = np.ascontiguousarray(np.swapaxes(node.value, 0, 1))
-    return Node(value, (node,), (lambda g: np.ascontiguousarray(np.swapaxes(g, 0, 1)),))
+    return Node(value, (node,), (lambda g: np.swapaxes(g, 0, 1).copy(),))
 
 
 def down(node: Node, s: int) -> Node:
@@ -130,9 +153,17 @@ def add_bias(x: Node, bias: Node) -> Node:
 
 
 def act(node: Node, spec: ActivationSpec) -> Node:
-    """Apply an activation elementwise; kinks use the flat-side subgradient."""
-    deriv = activation_derivative(spec, node.value)
-    return Node(apply_activation(spec, node.value), (node,), (lambda g: g * deriv,))
+    """Apply an activation elementwise; kinks use the flat-side subgradient.
+
+    A zero-threshold rectifier keeps a boolean mask of its active units
+    instead of a float derivative array.
+    """
+    value = apply_activation(spec, node.value)
+    if spec.kind == "relu_bias" and np.isscalar(spec.t) and spec.t == 0.0:
+        deriv = node.value > 0.0
+    else:
+        deriv = activation_derivative(spec, node.value)
+    return Node(value, (node,), (lambda g: g * deriv,))
 
 
 _RELU = ActivationSpec("relu_bias", t=0.0)
@@ -157,6 +188,7 @@ def mse(a: Node, b: Node) -> Node:
 
 
 def _topo_order(root: Node):
+    """Nodes that need a gradient, each after all of its parents."""
     order, seen, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
@@ -168,18 +200,23 @@ def _topo_order(root: Node):
         seen.add(id(node))
         stack.append((node, True))
         for parent in node.parents:
-            stack.append((parent, False))
+            if parent.needs_grad:
+                stack.append((parent, False))
     return order
 
 
 def backward(loss: Node) -> None:
-    """Accumulate d(loss)/d(node) into ``.grad`` over the whole graph."""
+    """Accumulate d(loss)/d(node) into ``.grad`` over every node that
+    needs a gradient."""
     if np.ndim(loss.value) != 0:
         raise ConfigError(f"loss must be scalar, got shape {np.shape(loss.value)}")
     order = _topo_order(loss)
     loss.grad = np.ones_like(loss.value)
     for node in reversed(order):
-        if node.grad is None or not node.parents:
+        if node.grad is None:
             continue
         for parent, vjp in zip(node.parents, node.vjps):
-            parent._accumulate(vjp(node.grad))
+            if parent.needs_grad:
+                g = vjp(node.grad)
+                # identity VJPs (add, add_bias, sub) return the node's own array
+                parent._accumulate(g.copy() if g is node.grad else g)

@@ -25,14 +25,29 @@ class Adam:
         self.v = [np.zeros_like(p.value) for p in self.params]
 
     def step(self, lr):
+        """One update of every parameter, in place.
+
+        The moments and values go through the same operations, in the same
+        order, as the closed form ``m = b1 m + (1 - b1) g``,
+        ``v = b2 v + (1 - b2) g g`` and ``p -= lr m_hat / (sqrt(v_hat) + eps)``,
+        so the results are bit-identical to it.
+        """
         self.t += 1
-        for i, p in enumerate(self.params):
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1**self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2**self.t)
-            p.value -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            step = np.divide(m, c1)
+            step *= lr
+            denom = np.divide(v, c2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.value -= step
 
     def zero_grad(self):
         for p in self.params:

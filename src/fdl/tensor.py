@@ -12,6 +12,14 @@ are centered: a filter of odd size ``k`` covers offsets ``-k//2 .. k//2``
 around each output pixel.  Down-sampling keeps phase 0 (sample indices that
 are multiples of the factor); up-sampling inserts zeros.
 
+Convolutions are matrix products over a shift stack (im2col) of their
+narrower side.  An expanding or equal conv (in <= out channels) stacks its
+input; its signal gradient forms ``kernel^T @ grad`` per tap and folds the
+taps back (col2im, the adjoint of the stack).  A contracting conv forms
+the per-tap products ``kernel @ x`` and folds them into its output; its
+backward stacks the upstream gradient once, for both gradients.  The
+method follows from the kernel's shape alone.
+
 All functions are pure and operate on immutable inputs, so they are safe to
 call concurrently.
 """
@@ -101,57 +109,163 @@ def _offsets(kv, kh):
     return [(u - cv, v - ch) for u in range(kv) for v in range(kh)]
 
 
+def _tap_corner(du, dv, cv, ch, correlate):
+    """Top-left corner, in the halo-padded grid, of the window that tap
+    ``(du, dv)`` reads (stack) or writes (fold)."""
+    return (cv + du, ch + dv) if correlate else (cv - du, ch - dv)
+
+
+def _fill_halo(padded, pad, n):
+    """Fill ``pad`` rows at both ends of axis 2 from the ``n`` periodic rows
+    between them, chunk by chunk outward so that a halo wider than the
+    image repeats it."""
+    lo, hi, end = pad, pad + n, padded.shape[2]
+    while lo > 0:  # period n: row j equals row j + n
+        step = min(lo, n)
+        padded[:, :, lo - step : lo] = padded[:, :, lo - step + n : lo + n]
+        lo -= step
+    while hi < end:
+        step = min(end - hi, n)
+        padded[:, :, hi : hi + step] = padded[:, :, hi - n : hi - n + step]
+        hi += step
+
+
+def _fold_halo(acc, pad, n):
+    """Adjoint of :func:`_fill_halo`: add each halo row into the row one
+    period inward, outermost first; returns the ``n`` central rows."""
+    hi, lo = acc.shape[2], 0
+    while hi > pad + n:
+        step = min(hi - pad - n, n)
+        acc[:, :, hi - step - n : hi - n] += acc[:, :, hi - step : hi]
+        hi -= step
+    while lo < pad:
+        step = min(pad - lo, n)
+        acc[:, :, lo + n : lo + step + n] += acc[:, :, lo : lo + step]
+        lo += step
+    return acc[:, :, pad : pad + n]
+
+
+def _wrap_pad(signal, cv, ch):
+    """Copy of ``signal`` with ``cv`` rows and ``ch`` columns of periodic
+    halo on each side, built from slice copies."""
+    sr, sc, h, w = signal.shape
+    padded = np.empty((sr, sc, h + 2 * cv, w + 2 * ch))
+    padded[:, :, cv : cv + h, ch : ch + w] = signal
+    _fill_halo(padded, cv, h)
+    _fill_halo(padded.swapaxes(2, 3), ch, w)
+    return padded
+
+
 def _shift_stack(signal, kv, kh, correlate=False):
     """Stack of circularly shifted copies of ``signal``, one per kernel tap.
 
     Layout is ``(rows, taps, cols, H, W)`` with taps enumerated row-major
     over the kernel window, matching ``kernel.reshape(out, -1)``.  With
     ``correlate=True`` shifts run in the opposite direction (used by the
-    adjoint).  Built by slicing one wrap-padded copy, which is much
-    cheaper than per-tap rolls.
+    adjoint).  Each tap is a slice of one halo-padded copy of the signal,
+    whose halo is filled by slice copies (see :func:`_wrap_pad`).
     """
     sr, sc, h, w = signal.shape
     cv, ch = kv // 2, kh // 2
-    padded = np.pad(signal, ((0, 0), (0, 0), (cv, cv), (ch, ch)), mode="wrap")
-    taps = _offsets(kv, kh)
-    stack = np.empty((sr, len(taps), sc, h, w))
-    for i, (du, dv) in enumerate(taps):
-        if correlate:
-            r0, c0 = cv + du, ch + dv
-        else:
-            r0, c0 = cv - du, ch - dv
+    padded = _wrap_pad(signal, cv, ch)
+    stack = np.empty((sr, kv * kh, sc, h, w))
+    for i, (du, dv) in enumerate(_offsets(kv, kh)):
+        r0, c0 = _tap_corner(du, dv, cv, ch, correlate)
         stack[:, i] = padded[:, :, r0 : r0 + h, c0 : c0 + w]
     return stack
 
 
+def _fold_products(kmat, signal, kv, kh, correlate=False):
+    """Fold (col2im) of the per-tap products ``kmat @ signal``: the adjoint
+    of :func:`_shift_stack`, applied to them, so each tap's product plane
+    is shifted back and summed into ``(rows, cols, H, W)``.
+
+    ``kmat`` holds one block of ``rows`` rows per tap, taps in stack order.
+    The product is taken on a copy of ``signal`` with a zero border as wide
+    as the kernel's reach, so every plane is already laid out on the
+    halo-padded grid and a tap's shift never carries image values out of
+    their own bordered image: each plane lands by one contiguous flat
+    shift.  The halo is then folded onto the image.
+    """
+    sr, sc, h, w = signal.shape
+    cv, ch = kv // 2, kh // 2
+    pv, ph = h + 2 * cv, w + 2 * ch
+    n = sc * pv * ph
+    bordered = np.zeros((sr, sc, pv, ph))
+    bordered[:, :, cv : cv + h, ch : ch + w] = signal
+    products = kmat @ bordered.reshape(sr, n)
+    rows = products.shape[0] // (kv * kh)
+    margin = cv * ph + ch  # the largest flat shift
+    acc = np.zeros((rows, n + 2 * margin))
+    for i, (du, dv) in enumerate(_offsets(kv, kh)):
+        r0, c0 = _tap_corner(du, dv, cv, ch, correlate)
+        start = margin + (r0 - cv) * ph + (c0 - ch)
+        acc[:, start : start + n] += products[i * rows : (i + 1) * rows]
+    acc = acc[:, margin : margin + n].reshape(rows, sc, pv, ph)
+    acc = _fold_halo(acc.swapaxes(2, 3), ch, w).swapaxes(2, 3)
+    return np.ascontiguousarray(_fold_halo(acc, cv, h))
+
+
+def _contracting(kernel_shape):
+    """A conv with more input than output channels stacks its output side."""
+    return kernel_shape[1] > kernel_shape[0]
+
+
 def _conv_forward(kernel, signal):
-    """Circular convolution via one matrix product; also returns the shift
-    stack so gradients can reuse it."""
+    """Circular convolution; also returns the input's shift stack for the
+    kernel gradient, or ``None`` for a contracting conv.
+
+    An expanding (or equal) conv stacks its input, ``kc * k^2`` rows, and
+    applies the kernel in one matrix product.  A contracting conv instead
+    forms the per-tap products ``kernel @ x``, ``ko * k^2`` rows, and folds
+    them into ``ko`` channels, so the wide input is never stacked.
+    """
     ko, kc, kv, kh = kernel.shape
+    if _contracting(kernel.shape):
+        kmat = kernel.transpose(2, 3, 0, 1).reshape(kv * kh * ko, kc)
+        return _fold_products(kmat, signal, kv, kh, correlate=True), None
     sr, sc, h, w = signal.shape
     stack = _shift_stack(signal, kv, kh)
     out = kernel.reshape(ko, kc * kv * kh) @ stack.reshape(sr * kv * kh, sc * h * w)
     return out.reshape(ko, sc, h, w), stack
 
 
-def _conv_grad_signal(kernel, grad):
-    """Adjoint of ``conv2d`` in its signal argument."""
+def _conv_grad_signal(kernel, grad, *, stack=None):
+    """Adjoint of ``conv2d`` in its signal argument.
+
+    A contracting conv correlates the narrow gradient: one shift stack of
+    ``grad`` (``ko * k^2`` rows; pass ``stack`` to reuse one) times the
+    transposed kernel.  An expanding conv forms ``kernel^T @ grad``,
+    ``kc * k^2`` rows, and folds it into ``kc`` channels.
+    """
     ko, kc, kv, kh = kernel.shape
-    go, gc, h, w = grad.shape
-    stack = _shift_stack(grad, kv, kh, correlate=True)
-    kmat = kernel.transpose(1, 0, 2, 3).reshape(kc, ko * kv * kh)
-    out = kmat @ stack.reshape(ko * kv * kh, gc * h * w)
-    return np.ascontiguousarray(out.reshape(kc, gc, h, w))
+    if _contracting(kernel.shape):
+        go, gc, h, w = grad.shape
+        if stack is None:
+            stack = _shift_stack(grad, kv, kh, correlate=True)
+        kmat = kernel.transpose(1, 0, 2, 3).reshape(kc, ko * kv * kh)
+        out = kmat @ stack.reshape(ko * kv * kh, gc * h * w)
+        return out.reshape(kc, gc, h, w)
+    kmat = kernel.transpose(2, 3, 1, 0).reshape(kv * kh * kc, ko)
+    return _fold_products(kmat, grad, kv, kh)
 
 
-def _conv_grad_kernel(stack, grad, kernel_shape):
-    """Gradient of ``conv2d`` with respect to the kernel, given the cached
-    shift stack of the signal."""
+def _conv_grad_kernel(stack, x, kernel_shape):
+    """Gradient of ``conv2d`` with respect to the kernel.
+
+    For an expanding (or equal) conv ``stack`` is the forward's shift
+    stack of the signal and ``x`` the upstream gradient; for a contracting
+    conv ``stack`` is the correlate stack of the upstream gradient and
+    ``x`` the signal.  Either way the narrow side is the stacked one.
+    """
     ko, kc, kv, kh = kernel_shape
-    go, gc, h, w = grad.shape
-    g = grad.reshape(ko, gc * h * w)
-    s = stack.reshape(kc * kv * kh, gc * h * w)
-    return (g @ s.T).reshape(kernel_shape)
+    pixels = x.shape[1] * x.shape[2] * x.shape[3]
+    if _contracting(kernel_shape):
+        s = stack.reshape(ko * kv * kh, pixels)
+        dk = x.reshape(kc, pixels) @ s.T
+        return dk.reshape(kc, ko, kv, kh).swapaxes(0, 1)
+    s = stack.reshape(kc * kv * kh, pixels)
+    return (x.reshape(ko, pixels) @ s.T).reshape(kernel_shape)
 
 
 def conv2d(kernel, signal) -> np.ndarray:

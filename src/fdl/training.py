@@ -330,6 +330,8 @@ def load_checkpoint(directory) -> ToyModel:
         raise ConfigError(f"no checkpoint manifest at {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"cannot parse checkpoint manifest {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"checkpoint manifest {path} is not a JSON object")
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ConfigError(f"unsupported checkpoint format {manifest.get('format')!r}")
     values = {}
@@ -347,4 +349,6 @@ def load_checkpoint(directory) -> ToyModel:
         groups = [[values[f"{group}_{level}"] for level in levels] for group in _GROUPS]
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path} has no entry {exc.args[0]}") from exc
+    except (TypeError, ValueError) as exc:  # a field of the wrong type
+        raise ConfigError(f"checkpoint {path} has a malformed field: {exc}") from exc
     return ToyModel(*groups, bias_mode=manifest.get("bias_mode", "learned"))

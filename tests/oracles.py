@@ -29,6 +29,18 @@ def conv2d_reference(kernel, signal):
     return out
 
 
+def conv2d_roll_reference(kernel, signal):
+    """Circular tensor convolution as a sum of ``np.roll``-shifted signals,
+    one per tap; fast enough for randomized shapes."""
+    ko, kc, kv, kh = kernel.shape
+    out = np.zeros((ko,) + signal.shape[1:])
+    for u in range(kv):
+        for v in range(kh):
+            shifted = np.roll(signal, (u - kv // 2, v - kh // 2), axis=(2, 3))
+            out += np.einsum("oc,cjhw->ojhw", kernel[:, :, u, v], shifted)
+    return out
+
+
 def dft2_reference(plane):
     """2-D DFT as a direct double sum over all input samples."""
     height, width = plane.shape

@@ -9,6 +9,7 @@ from fdl.activations import ActivationSpec
 from fdl.errors import ConfigError
 from fdl.network import Conv, Network, build_red, evaluate
 from fdl.optim import Adam, xavier_bound, xavier_uniform_init
+from fdl.training import build_toy
 
 
 def check_gradients(build, values, rng, n_probes=20, eps=1e-5, rtol=1e-4):
@@ -165,6 +166,20 @@ class TestGradCheck:
         assert np.max(np.abs(used.grad)) > 0
         np.testing.assert_array_equal(unused.grad, np.zeros_like(unused.value))
 
+    def test_shared_gradients_are_not_aliased(self):
+        # out = (u + w) + u: u's two gradients and w's one all start as the
+        # same upstream array; none may be summed into another in place
+        p = ad.Parameter(np.arange(4.0).reshape(1, 1, 2, 2))
+        q = ad.Parameter(np.ones((1, 1, 2, 2)))
+        u, w = ad.scale(p, 1.0), ad.scale(q, 1.0)
+        inner = ad.add(u, w)
+        ad.backward(ad.mse(ad.add(inner, u), ad.constant(np.zeros((1, 1, 2, 2)))))
+        np.testing.assert_array_equal(p.grad, 2.0 * q.grad)
+        nodes = [inner, u, w]
+        for i, a in enumerate(nodes):
+            for b in nodes[i + 1 :]:
+                assert not np.shares_memory(a.grad, b.grad)
+
     def test_relu_subgradient_zero_at_kink(self):
         x = ad.Parameter(np.zeros((1, 1, 2, 2)))
         loss = ad.mse(ad.relu(x), ad.constant(np.ones((1, 1, 2, 2))))
@@ -187,6 +202,57 @@ class TestGradCheck:
             ad.backward(loss)
             grads.append(k.grad.copy())
         assert grads[0].tobytes() == grads[1].tobytes()
+
+
+class TestPruning:
+    """No VJP is evaluated toward the input image or frozen parameters."""
+
+    def test_reference_model_backward(self, monkeypatch):
+        calls = []
+        grad_signal = tensor._conv_grad_signal
+
+        def counted(kernel, grad, **kwargs):
+            calls.append(kernel.shape)
+            return grad_signal(kernel, grad, **kwargs)
+
+        monkeypatch.setattr(tensor, "_conv_grad_signal", counted)
+        rng = np.random.default_rng(0)
+        model = build_toy(seed=1, bias_mode="zero_fixed")
+        clean = rng.uniform(size=(1, 1, 16, 16))
+        noisy = clean + rng.normal(scale=0.1, size=clean.shape)
+        ad.backward(ad.mse(model.forward(noisy), ad.constant(clean)))
+        # six convs; the first one's signal is the input image
+        assert len(calls) == 5
+        assert (6, 1, 3, 3) not in calls
+        for bias in model.enc_biases + model.dec_biases:
+            assert bias.grad.tobytes() == np.zeros_like(bias.value).tobytes()
+        for kernel in model.enc_kernels + model.dec_kernels:
+            assert np.max(np.abs(kernel.grad)) > 0
+
+    def test_each_conv_stacks_its_narrow_side_once(self, monkeypatch):
+        rows = []
+        shift_stack = tensor._shift_stack
+
+        def counted(signal, kv, kh, correlate=False):
+            rows.append((signal.shape[0], correlate))
+            return shift_stack(signal, kv, kh, correlate)
+
+        monkeypatch.setattr(tensor, "_shift_stack", counted)
+        model = build_toy(seed=1)
+        clean = np.random.default_rng(1).uniform(size=(1, 1, 16, 16))
+        ad.backward(ad.mse(model.forward(clean), ad.constant(clean)))
+        # expanding convs stack their input in the forward, contracting
+        # convs their upstream gradient in the backward
+        assert sorted(rows) == [(c, side) for c in (1, 6, 12) for side in (False, True)]
+
+    def test_constant_only_graph_computes_nothing(self):
+        x = ad.constant(np.ones((1, 1, 2, 2)))
+        frozen = ad.Parameter(np.ones((1, 1, 1, 1)), trainable=False)
+        loss = ad.mse(ad.conv(frozen, x), ad.constant(np.zeros((1, 1, 2, 2))))
+        assert not loss.needs_grad
+        ad.backward(loss)
+        assert x.grad is None
+        np.testing.assert_array_equal(frozen.grad, 0.0)
 
 
 class TestAdjointIdentity:
@@ -229,6 +295,32 @@ class TestAdam:
             opt.step(1e-2)
         final = float(ad.mse(p, target).value)
         assert final < 1e-4 * initial
+
+    def test_in_place_step_matches_closed_form_bitwise(self):
+        rng = np.random.default_rng(12)
+        shapes = [(6, 1, 3, 3), (6,), (24, 12, 3, 3)]
+        params = [ad.Parameter(rng.normal(size=s)) for s in shapes]
+        values = [p.value.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        opt = Adam(params, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 25):
+            lr = 1e-3 * float(rng.uniform(0.1, 2.0))
+            for p in params:
+                p.grad[...] = rng.normal(size=p.value.shape) * 10.0 ** rng.integers(-8, 3)
+            for i, p in enumerate(params):
+                g = p.grad
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g
+                m_hat = m[i] / (1.0 - b1**t)
+                v_hat = v[i] / (1.0 - b2**t)
+                values[i] = values[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            opt.step(lr)
+            for i, p in enumerate(params):
+                assert p.value.tobytes() == values[i].tobytes()
+                assert opt.m[i].tobytes() == m[i].tobytes()
+                assert opt.v[i].tobytes() == v[i].tobytes()
 
     def test_skips_frozen_parameters(self):
         frozen = ad.Parameter(np.ones(3), trainable=False)

@@ -304,6 +304,24 @@ class TestDamagedCheckpoint:
         assert result.returncode == 3, result.stderr
         assert "cannot parse checkpoint manifest" in result.stderr
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda m: [m],
+            lambda m: {**m, "parameters": [{**m["parameters"][0], "shape": "abc"}]},
+            lambda m: {**m, "widths": 3},
+            lambda m: {**m, "parameters": None},
+        ],
+        ids=["list-manifest", "string-shape", "int-widths", "null-parameters"],
+    )
+    def test_wrongly_typed_manifest_exit_3(self, workdir, checkpoint, damage):
+        manifest = json.loads((checkpoint / "checkpoint.json").read_text())
+        (checkpoint / "checkpoint.json").write_text(json.dumps(damage(manifest)))
+        result = self.denoise(workdir)
+        assert result.returncode == 3, result.stderr
+        assert "checkpoint" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 def tree_bytes(root, skip=("manifest.json",)):
     out = {}

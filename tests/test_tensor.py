@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from fdl import autodiff as ad
 from fdl import tensor
 from fdl.errors import ConfigError, NumericError, ShapeError
 
-from oracles import conv2d_reference, dft2_reference
+from oracles import conv2d_reference, conv2d_roll_reference, dft2_reference
 
 
 class TestConv2d:
@@ -178,3 +179,78 @@ class TestDftMagnitude:
         got = tensor.dft_magnitude(img)
         want = np.abs(dft2_reference(img[0, 0]))
         assert np.max(np.abs(got[0, 0] - want)) < 1e-9
+
+
+def random_conv_case(rng, ko, kc):
+    """Kernel, signal and output-shaped probe with random odd taps (1-7),
+    1-3 signal columns and even image sides (2-8), so kernels are often
+    wider than the image."""
+    kv, kh = rng.choice([1, 3, 5, 7], size=2)
+    cols = int(rng.integers(1, 4))
+    h, w = 2 * rng.integers(1, 5, size=2)
+    kernel = rng.normal(size=(ko, kc, kv, kh))
+    return kernel, rng.normal(size=(kc, cols, h, w)), rng.normal(size=(ko, cols, h, w))
+
+
+# expanding, equal and contracting channel counts (out, in)
+CHANNELS = [(1, 1), (3, 1), (6, 2), (3, 3), (1, 4), (2, 5), (12, 24)]
+
+
+class TestNarrowSideProperties:
+    """Expanding and equal convs stack their input; contracting convs fold
+    per-tap products.  Both must be the same circular convolution, with
+    the same adjoint and kernel gradient."""
+
+    @pytest.mark.parametrize("ko,kc", CHANNELS)
+    def test_forward_matches_roll_oracle(self, ko, kc):
+        rng = np.random.default_rng((ko, kc, 1))
+        for _ in range(6):
+            kernel, x, _ = random_conv_case(rng, ko, kc)
+            want = conv2d_roll_reference(kernel, x)
+            err = np.max(np.abs(tensor.conv2d(kernel, x) - want))
+            assert err < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("ko,kc", CHANNELS)
+    def test_adjoint_inner_product(self, ko, kc):
+        rng = np.random.default_rng((ko, kc, 2))
+        for _ in range(6):
+            kernel, x, y = random_conv_case(rng, ko, kc)
+            lhs = np.vdot(tensor.conv2d(kernel, x), y)
+            d_signal = ad.conv(ad.constant(kernel), ad.Parameter(x)).vjps[1]
+            for adj in (tensor.conv2d_adjoint(kernel, y), d_signal(y)):
+                assert abs(lhs - np.vdot(x, adj)) < 1e-11 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("ko,kc", CHANNELS)
+    def test_kernel_gradient_inner_product(self, ko, kc):
+        rng = np.random.default_rng((ko, kc, 3))
+        for _ in range(6):
+            kernel, x, g = random_conv_case(rng, ko, kc)
+            dk = ad.conv(ad.Parameter(kernel), ad.constant(x)).vjps[0](g)
+            e = rng.normal(size=kernel.shape)
+            lhs = np.vdot(tensor.conv2d(e, x), g)
+            assert dk.shape == kernel.shape
+            assert abs(lhs - np.vdot(e, dk)) < 1e-11 * max(1.0, abs(lhs))
+
+    def test_kernel_wider_than_image(self):
+        rng = np.random.default_rng(4)
+        for ko, kc in ((3, 2), (2, 3)):
+            kernel = rng.normal(size=(ko, kc, 7, 7))
+            x = rng.normal(size=(kc, 2, 2, 4))
+            y = rng.normal(size=(ko, 2, 2, 4))
+            out = tensor.conv2d(kernel, x)
+            assert np.max(np.abs(out - conv2d_roll_reference(kernel, x))) < 1e-12
+            assert np.max(np.abs(out - conv2d_reference(kernel, x))) < 1e-12
+            assert abs(np.vdot(out, y) - np.vdot(x, tensor.conv2d_adjoint(kernel, y))) < 1e-11
+
+    def test_fold_is_adjoint_of_shift_stack(self):
+        rng = np.random.default_rng(5)
+        for correlate in (False, True):
+            for kv, kh, h, w in ((5, 3, 2, 6), (3, 3, 8, 8), (7, 7, 2, 4)):
+                x = rng.normal(size=(2, 3, h, w))
+                y = rng.normal(size=(4, 3, h, w))
+                kmat = rng.normal(size=(kv * kh * 2, 4))
+                stack = tensor._shift_stack(x, kv, kh, correlate=correlate)
+                products = (kmat @ y.reshape(4, -1)).reshape(kv * kh, 2, 3, h, w)
+                folded = tensor._fold_products(kmat, y, kv, kh, correlate=correlate)
+                lhs = np.vdot(stack, products.swapaxes(0, 1))
+                assert abs(lhs - np.vdot(x, folded)) < 1e-11 * max(1.0, abs(lhs))
