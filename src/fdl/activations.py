@@ -57,6 +57,10 @@ def _as_threshold(t):
     return tuple(float(v) for v in arr)
 
 
+def _is_zero(t):
+    return np.isscalar(t) and t == 0.0
+
+
 def _broadcast(t, z):
     """Broadcast a (possibly per-channel) threshold against ``z``."""
     if np.isscalar(t):
@@ -135,7 +139,7 @@ class ActivationSpec:
 def relu_bias(z, t=0.0):
     """Rectifier with threshold: ``(z - t)_+``."""
     z = np.asarray(z, dtype=float)
-    if np.isscalar(t) and t == 0.0:  # z - 0.0 is z bit for bit: skip that pass
+    if _is_zero(t):  # z - 0.0 is z bit for bit: skip that pass
         return np.maximum(z, 0.0)
     return np.maximum(z - _broadcast(t, z), 0.0)
 
@@ -221,12 +225,16 @@ def activation_derivative(spec: ActivationSpec, z):
     """Elementwise derivative of an activation at ``z``.
 
     Kinks use the subgradient 0 on the flat side, matching what the
-    training engine assumes.
+    training engine assumes.  The rectifier's derivative is a boolean mask,
+    an eighth of the memory of a float array; ``g * mask`` is bit for bit
+    ``g * 1.0`` or ``g * 0.0``.
     """
     z = np.asarray(z, dtype=float)
-    tb = _broadcast(spec.t, z)
     if spec.kind == "relu_bias":
-        return np.where(z - tb > 0.0, 1.0, 0.0)
+        if _is_zero(spec.t):  # z - 0.0 is z bit for bit: skip that pass
+            return z > 0.0
+        return z - _broadcast(spec.t, z) > 0.0
+    tb = _broadcast(spec.t, z)
     if spec.kind == "soft_shrink":
         return np.where(np.abs(z) > tb, 1.0, 0.0)
     if spec.kind == "soft_clip":

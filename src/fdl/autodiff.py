@@ -153,17 +153,9 @@ def add_bias(x: Node, bias: Node) -> Node:
 
 
 def act(node: Node, spec: ActivationSpec) -> Node:
-    """Apply an activation elementwise; kinks use the flat-side subgradient.
-
-    A zero-threshold rectifier keeps a boolean mask of its active units
-    instead of a float derivative array.
-    """
-    value = apply_activation(spec, node.value)
-    if spec.kind == "relu_bias" and np.isscalar(spec.t) and spec.t == 0.0:
-        deriv = node.value > 0.0
-    else:
-        deriv = activation_derivative(spec, node.value)
-    return Node(value, (node,), (lambda g: g * deriv,))
+    """Apply an activation elementwise; kinks use the flat-side subgradient."""
+    deriv = activation_derivative(spec, node.value)
+    return Node(apply_activation(spec, node.value), (node,), (lambda g: g * deriv,))
 
 
 _RELU = ActivationSpec("relu_bias", t=0.0)

@@ -115,24 +115,10 @@ def _tap_corner(du, dv, cv, ch, correlate):
     return (cv + du, ch + dv) if correlate else (cv - du, ch - dv)
 
 
-def _fill_halo(padded, pad, n):
-    """Fill ``pad`` rows at both ends of axis 2 from the ``n`` periodic rows
-    between them, chunk by chunk outward so that a halo wider than the
-    image repeats it."""
-    lo, hi, end = pad, pad + n, padded.shape[2]
-    while lo > 0:  # period n: row j equals row j + n
-        step = min(lo, n)
-        padded[:, :, lo - step : lo] = padded[:, :, lo - step + n : lo + n]
-        lo -= step
-    while hi < end:
-        step = min(end - hi, n)
-        padded[:, :, hi : hi + step] = padded[:, :, hi - n : hi - n + step]
-        hi += step
-
-
 def _fold_halo(acc, pad, n):
-    """Adjoint of :func:`_fill_halo`: add each halo row into the row one
-    period inward, outermost first; returns the ``n`` central rows."""
+    """Adjoint of wrap padding along axis 2: add each halo row into the row
+    one period inward, outermost first (a halo wider than the image is
+    folded chunk by chunk); returns the ``n`` central rows."""
     hi, lo = acc.shape[2], 0
     while hi > pad + n:
         step = min(hi - pad - n, n)
@@ -145,29 +131,18 @@ def _fold_halo(acc, pad, n):
     return acc[:, :, pad : pad + n]
 
 
-def _wrap_pad(signal, cv, ch):
-    """Copy of ``signal`` with ``cv`` rows and ``ch`` columns of periodic
-    halo on each side, built from slice copies."""
-    sr, sc, h, w = signal.shape
-    padded = np.empty((sr, sc, h + 2 * cv, w + 2 * ch))
-    padded[:, :, cv : cv + h, ch : ch + w] = signal
-    _fill_halo(padded, cv, h)
-    _fill_halo(padded.swapaxes(2, 3), ch, w)
-    return padded
-
-
 def _shift_stack(signal, kv, kh, correlate=False):
     """Stack of circularly shifted copies of ``signal``, one per kernel tap.
 
     Layout is ``(rows, taps, cols, H, W)`` with taps enumerated row-major
     over the kernel window, matching ``kernel.reshape(out, -1)``.  With
     ``correlate=True`` shifts run in the opposite direction (used by the
-    adjoint).  Each tap is a slice of one halo-padded copy of the signal,
-    whose halo is filled by slice copies (see :func:`_wrap_pad`).
+    adjoint).  Built by slicing one wrap-padded copy, which is much
+    cheaper than per-tap rolls.
     """
     sr, sc, h, w = signal.shape
     cv, ch = kv // 2, kh // 2
-    padded = _wrap_pad(signal, cv, ch)
+    padded = np.pad(signal, ((0, 0), (0, 0), (cv, cv), (ch, ch)), mode="wrap")
     stack = np.empty((sr, kv * kh, sc, h, w))
     for i, (du, dv) in enumerate(_offsets(kv, kh)):
         r0, c0 = _tap_corner(du, dv, cv, ch, correlate)

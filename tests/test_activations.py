@@ -188,6 +188,19 @@ class TestDerivatives:
             ActivationSpec("let", members=((0.3, soft), (0.7, ActivationSpec("garrote", t=0.2)))),
         ]
 
+    def test_relu_mask_scales_gradients_like_the_float_derivative(self):
+        rng = np.random.default_rng(11)
+        z = rng.normal(size=(2, 1, 3, 3))
+        z.flat[:4] = [0.0, -0.0, 0.25, -0.25]
+        g = rng.normal(size=z.shape)
+        g.flat[4:7] = [np.inf, -np.inf, np.nan]
+        for t in (0.0, 0.25, (0.0, 0.25)):
+            mask = activation_derivative(ActivationSpec("relu_bias", t=t), z)
+            tb = np.asarray(t, dtype=float).reshape(-1, 1, 1, 1)
+            assert mask.dtype == bool
+            with np.errstate(invalid="ignore"):  # inf * 0
+                assert (g * mask).tobytes() == (g * np.where(z - tb > 0.0, 1.0, 0.0)).tobytes()
+
     def test_matches_finite_differences_away_from_kinks(self):
         rng = np.random.default_rng(9)
         eps = 1e-6
