@@ -1,18 +1,25 @@
 """Minimal reverse-mode differentiation engine.
 
 Covers exactly the operations the trainable models need: tensor
-convolution, channel transposition, factor-s resampling, the activation
-family, elementwise add/subtract, scalar scaling, per-channel bias, and
-mean squared error.  Graphs are built eagerly as Python objects and
-differentiated once by a topological sweep.
+convolution, channel transposition, factor-s resampling, the fixed
+per-channel DWT filter banks (analysis with decimation, synthesis with
+up-sampling), the activation family, elementwise add/subtract, scalar
+scaling, per-channel bias, and mean squared error.  Graphs are built
+eagerly as Python objects and differentiated once by a topological sweep.
 
 Gradients accumulate into ``Node.grad``; parameters start with a zero
 gradient so a parameter that does not influence the loss simply keeps it.
 A node needs a gradient only if some trainable parameter lies upstream of
 it: no vector-Jacobian product (VJP) is evaluated toward constants, such
 as the input image, or toward frozen parameters, whose gradient stays
-zero.  A graph is intended to be built, back-propagated and discarded;
-training loops create a fresh graph per step.
+zero.
+
+:func:`backward` consumes the graph it sweeps: once a node's VJPs have
+run, the node drops them, and with them the data their closures hold
+(shift stacks, rectifier masks, the MSE residual), and drops its own
+gradient.  Only :class:`Parameter` gradients survive; node values stay.
+A second ``backward`` over a consumed graph raises :class:`ConfigError`.
+Training loops build a fresh graph per step.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ __all__ = [
     "transpose",
     "down",
     "up",
+    "bank_down",
+    "bank_up",
     "add",
     "sub",
     "scale",
@@ -127,6 +136,21 @@ def up(node: Node, s: int) -> Node:
     return Node(T.upsample(node.value, s), (node,), (lambda g: T.downsample(g, s),))
 
 
+def bank_down(filters, node: Node) -> Node:
+    """Fixed filter stack on every channel, decimated by 2.  ``filters`` is
+    a plain array; the adjoint is :func:`fdl.tensor.bank_up` with the
+    filters rotated 180 degrees."""
+    rotated = filters[:, :, ::-1, ::-1]
+    return Node(T.bank_down(filters, node.value), (node,), (lambda g: T.bank_up(rotated, g),))
+
+
+def bank_up(filters, node: Node) -> Node:
+    """Up-sampling by 2 and the transposed per-channel bank; the adjoint is
+    :func:`fdl.tensor.bank_down` with the filters rotated 180 degrees."""
+    rotated = filters[:, :, ::-1, ::-1]
+    return Node(T.bank_up(filters, node.value), (node,), (lambda g: T.bank_down(rotated, g),))
+
+
 def add(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
@@ -198,17 +222,21 @@ def _topo_order(root: Node):
 
 
 def backward(loss: Node) -> None:
-    """Accumulate d(loss)/d(node) into ``.grad`` over every node that
-    needs a gradient."""
+    """Accumulate d(loss)/d(node) into the ``.grad`` of every parameter
+    that needs a gradient, consuming the graph: each other node's VJPs and
+    gradient are dropped as soon as they have been used."""
     if np.ndim(loss.value) != 0:
         raise ConfigError(f"loss must be scalar, got shape {np.shape(loss.value)}")
     order = _topo_order(loss)
+    if any(node.vjps is None for node in order):
+        raise ConfigError("graph already consumed by an earlier backward")
     loss.grad = np.ones_like(loss.value)
     for node in reversed(order):
-        if node.grad is None:
+        if isinstance(node, Parameter):
             continue
         for parent, vjp in zip(node.parents, node.vjps):
             if parent.needs_grad:
                 g = vjp(node.grad)
                 # identity VJPs (add, add_bias, sub) return the node's own array
                 parent._accumulate(g.copy() if g is node.grad else g)
+        node.vjps = node.grad = None

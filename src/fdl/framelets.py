@@ -11,6 +11,10 @@ reconstruction constants measured at construction time:
   (analysis, down-sample by 2, zero-insert, synthesis) and is ``None`` for
   banks that only reconstruct without decimation.
 
+The decimated transforms are computed polyphase, only at the samples that
+decimation keeps, by the same functions that run the DWT layers of a
+network (:func:`fdl.tensor.bank_down` and :func:`fdl.tensor.bank_up`).
+
 The bundled bank is the separable 2-D Haar bank: four 2x2 filters with
 entries ``+-1/2`` embedded in 3x3 kernels so that convolution stays
 centered.  Analysis taps sit at offsets ``{0, 1}`` and synthesis taps at
@@ -31,12 +35,12 @@ from .errors import ConfigError, ShapeError
 from .tensor import (
     as_image,
     as_tensor4,
+    bank_down,
+    bank_up,
     conv2d,
-    downsample,
     identity_image,
     impulse_image,
     tensor_transpose,
-    upsample,
 )
 
 __all__ = [
@@ -109,8 +113,7 @@ def _decimated_gain(forward, inverse):
     gain = None
     for _ in range(3):
         y = rng.normal(size=(1, 1, n, n))
-        bands = downsample(conv2d(forward, y), 2)
-        recon = conv2d(tensor_transpose(inverse), upsample(bands, 2))
+        recon = bank_up(inverse, bank_down(forward, y))
         g = float(np.vdot(y, recon) / np.vdot(y, y))
         if g <= 0 or np.max(np.abs(recon - g * y)) > 1e-9 * max(1.0, np.max(np.abs(y))):
             return None
@@ -209,12 +212,12 @@ def haar_dwt() -> HaarBank:
 
 
 def framelet_forward(basis: FrameletBasis, y, decimated=False) -> np.ndarray:
-    """Decompose an image into framelet bands, optionally decimating by 2."""
+    """Decompose an image into framelet bands, optionally decimating by 2
+    (computed polyphase, only at the kept samples)."""
     y = as_image(y)
-    bands = conv2d(basis.forward, y)
     if decimated:
-        bands = downsample(bands, 2)
-    return bands
+        return bank_down(basis.forward, y)
+    return conv2d(basis.forward, y)
 
 
 def framelet_inverse(basis: FrameletBasis, bands, decimated=False) -> np.ndarray:
@@ -229,11 +232,8 @@ def framelet_inverse(basis: FrameletBasis, bands, decimated=False) -> np.ndarray
     if decimated:
         if basis.c_decimated is None:
             raise ConfigError("basis does not reconstruct from decimated bands")
-        bands = upsample(bands, 2)
-        scale = basis.c_decimated
-    else:
-        scale = basis.c
-    return conv2d(tensor_transpose(basis.inverse), bands) * scale
+        return bank_up(basis.inverse, bands) * basis.c_decimated
+    return conv2d(tensor_transpose(basis.inverse), bands) * basis.c
 
 
 def phase_complement(basis: FrameletBasis) -> FrameletBasis:

@@ -12,8 +12,10 @@ Specs carry no weights.  :func:`evaluate` is the one interpreter of a
 spec: it walks the layers once over any op set, plain arrays
 (:data:`NUMPY_OPS`) or differentiable nodes (:mod:`fdl.autodiff`).
 :class:`Network` binds concrete kernels and biases to a spec and evaluates
-it on images with the tensor runtime; the fixed filter banks behind
-DWT-style resampling layers are bound automatically.
+it on images with the tensor runtime; the fixed Haar filter stacks behind
+DWT-style resampling layers are bound automatically and run polyphase
+(:func:`fdl.tensor.bank_down` / :func:`fdl.tensor.bank_up`), one small
+stack applied to every channel.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .activations import ActivationSpec, apply_activation
 from .errors import ConfigError, ShapeError
 from .framelets import haar_dwt
-from .tensor import as_tensor4, conv2d, downsample, tensor_transpose, upsample
+from .tensor import as_tensor4, bank_down, bank_up, conv2d, downsample, upsample
 
 __all__ = [
     "Conv",
@@ -417,33 +419,23 @@ def load_spec(path) -> NetworkSpec:
 # ---------------------------------------------------------------------------
 
 
-def _per_channel_bank(filters, channels):
-    """Block-diagonal bank applying a small filter stack to every channel.
-
-    ``filters`` has shape (bands, 1, v, h); the result maps ``channels``
-    inputs to ``channels * bands`` outputs, detail bands grouped per input
-    channel.
-    """
-    bands = filters.shape[0]
-    bank = np.zeros((channels * bands, channels, filters.shape[2], filters.shape[3]))
-    for c in range(channels):
-        bank[c * bands : (c + 1) * bands, c] = filters[:, 0]
-    return bank
-
-
-def _resample_bank(layer: Resample, c_in):
-    """Fixed kernel of a DWT resampling layer with ``c_in`` input channels:
-    the analysis bank going down, the transposed synthesis bank going up
-    (whose input holds one channel per band and base channel)."""
+def _dwt_filters():
+    """Haar ``(bands, 1, 3, 3)`` filter stacks of each DWT kind, read-only
+    because every network shares them: the analysis stack going down, the
+    synthesis stack going up."""
     bank = haar_dwt()
-    forward, inverse = {
-        "dwt_low": (bank.w_low, bank.w_low_tilde),
-        "dwt_high": (bank.w_high, bank.w_high_tilde),
-        "dwt_full": (bank.w, bank.w_tilde),
-    }[layer.kind]
-    if layer.direction == "down":
-        return _per_channel_bank(forward, c_in)
-    return tensor_transpose(_per_channel_bank(inverse, c_in // inverse.shape[0]))
+    stacks = {
+        "dwt_low": {"down": bank.w_low, "up": bank.w_low_tilde},
+        "dwt_high": {"down": bank.w_high, "up": bank.w_high_tilde},
+        "dwt_full": {"down": bank.w, "up": bank.w_tilde},
+    }
+    for pair in stacks.values():
+        for filters in pair.values():
+            filters.flags.writeable = False
+    return stacks
+
+
+_DWT_FILTERS = _dwt_filters()
 
 
 # The op set of :func:`evaluate` on plain arrays; :mod:`fdl.autodiff`
@@ -454,6 +446,8 @@ NUMPY_OPS = SimpleNamespace(
     act=lambda x, spec: apply_activation(spec, x),
     down=lambda x, s: downsample(x, s),
     up=lambda x, s: upsample(x, s),
+    bank_down=bank_down,
+    bank_up=bank_up,
     add=operator.add,
     sub=operator.sub,
 )
@@ -462,12 +456,24 @@ NUMPY_OPS = SimpleNamespace(
 def evaluate(spec: NetworkSpec, conv_weights, x, ops):
     """Evaluate ``spec`` on ``x`` with the op set ``ops``.
 
-    ``ops`` supplies ``conv, add_bias, act, down, up, add, sub``: either
-    :data:`NUMPY_OPS` over arrays or :mod:`fdl.autodiff` over graph nodes.
-    ``conv_weights`` holds one ``(kernel, bias_or_None)`` pair, in the form
-    ``ops`` takes, per Conv layer and per DWT resampling layer in spec
-    order; a resampling layer's kernel is its fixed bank.  Only the outputs
-    that a later layer names as ``source`` or ``from_`` are kept alive.
+    ``ops`` supplies, either as :data:`NUMPY_OPS` over arrays or as
+    :mod:`fdl.autodiff` over graph nodes:
+
+    * ``conv(kernel, x)`` and ``add_bias(x, bias)`` for Conv layers;
+    * ``act(x, spec)`` for Activation layers;
+    * ``down(x, s)`` / ``up(x, s)`` for ``plain`` resampling;
+    * ``bank_down(filters, x)`` / ``bank_up(filters, x)`` for DWT
+      resampling: a fixed ``(bands, 1, k, k)`` filter stack applied to
+      each channel, with decimation by 2 (analysis) or up-sampling by 2
+      (synthesis);
+    * ``add(a, b)`` for SkipAdd layers and ``sub(a, b)`` for the residual
+      wrapper.
+
+    ``conv_weights`` holds one ``(kernel, bias_or_None)`` pair per Conv
+    layer and per DWT resampling layer in spec order; a Conv's pair is in
+    the form ``ops`` takes, and a resampling layer's kernel is its filter
+    stack, a plain array, with no bias.  Only the outputs that a later
+    layer names as ``source`` or ``from_`` are kept alive.
     """
     named = {ref for layer in spec.layers for ref in (layer.source, getattr(layer, "from_", None))}
     kept = {-1: x}
@@ -483,14 +489,12 @@ def evaluate(spec: NetworkSpec, conv_weights, x, ops):
                 out = ops.add_bias(out, bias)
         elif isinstance(layer, Activation):
             out = ops.act(out, layer.spec)
-        elif isinstance(layer, Resample) and layer.direction == "down":
-            if layer.kind != "plain":
-                out = ops.conv(next(weights)[0], out)
-            out = ops.down(out, layer.s)
+        elif isinstance(layer, Resample) and layer.kind != "plain":
+            bank = ops.bank_down if layer.direction == "down" else ops.bank_up
+            out = bank(next(weights)[0], out)
         elif isinstance(layer, Resample):
-            out = ops.up(out, layer.s)
-            if layer.kind != "plain":
-                out = ops.conv(next(weights)[0], out)
+            resample = ops.down if layer.direction == "down" else ops.up
+            out = resample(out, layer.s)
         else:  # SkipAdd
             out = ops.add(out, kept[layer.from_])
         if idx in named:
@@ -502,12 +506,12 @@ class Network:
     """A spec bound to concrete weights, evaluated with the tensor runtime.
 
     ``conv_weights`` is one ``(kernel, bias_or_None)`` pair per Conv layer
-    in spec order; kernels must match the declared shapes.
+    in spec order; kernels must match the declared shapes.  Each DWT
+    resampling layer is bound to its fixed Haar filter stack.
     """
 
     def __init__(self, spec: NetworkSpec, conv_weights):
-        self.spec = spec
-        channels = validate_spec(spec)
+        self.spec = spec  # validated when it was constructed
         conv_layers = [l for l in spec.layers if isinstance(l, Conv)]
         if len(conv_weights) != len(conv_layers):
             raise ConfigError(
@@ -530,9 +534,7 @@ class Network:
                     bias = None
                 self._weights[idx] = (kernel, bias)
             elif isinstance(layer, Resample) and layer.kind != "plain":
-                src = _main_input(idx, layer)
-                c_in = spec.input_channels if src == -1 else channels[src]
-                self._weights[idx] = (_resample_bank(layer, c_in), None)
+                self._weights[idx] = (_DWT_FILTERS[layer.kind][layer.direction], None)
 
     def run(self, image) -> np.ndarray:
         """Evaluate the network on an image (or multi-channel tensor)."""
@@ -544,6 +546,9 @@ class Network:
         return evaluate(self.spec, self._weights.values(), x_in, NUMPY_OPS)
 
     def kernel_at(self, idx):
+        """Kernel bound to layer ``idx``: a Conv layer's kernel, or a DWT
+        resampling layer's ``(bands, 1, 3, 3)`` filter stack (read-only),
+        which the layer applies to each channel separately."""
         return self._weights[idx][0]
 
     def bias_at(self, idx):

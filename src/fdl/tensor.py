@@ -20,6 +20,13 @@ the per-tap products ``kernel @ x`` and folds them into its output; its
 backward stacks the upstream gradient once, for both gradients.  The
 method follows from the kernel's shape alone.
 
+A decimated filter bank (the DWT's analysis and synthesis) applies one
+small ``(bands, 1, k, k)`` filter stack to every channel separately.  It
+is computed polyphase: :func:`bank_down` evaluates each output sample
+only where decimation keeps it, and :func:`bank_up` only from the samples
+that up-sampling does not zero, in both cases from the bank's nonzero
+taps alone.
+
 All functions are pure and operate on immutable inputs, so they are safe to
 call concurrently.
 """
@@ -41,6 +48,8 @@ __all__ = [
     "tensor_transpose",
     "downsample",
     "upsample",
+    "bank_down",
+    "bank_up",
     "dft_magnitude",
 ]
 
@@ -313,6 +322,91 @@ def upsample(signal, s) -> np.ndarray:
     r, c, h, w = signal.shape
     out = np.zeros((r, c, h * s, w * s))
     out[:, :, ::s, ::s] = signal
+    return out
+
+
+def _bank_taps(filters):
+    """Nonzero taps of a ``(bands, 1, kv, kh)`` filter stack: their
+    ``(du, dv)`` offsets and their ``(bands, taps)`` weights, contiguous
+    for the matrix product."""
+    bands, one, kv, kh = filters.shape
+    if one != 1:
+        raise ShapeError(f"filter bank must have shape (bands, 1, v, h), got {filters.shape}")
+    if kv % 2 == 0 or kh % 2 == 0:
+        raise ConfigError(f"filter spatial dims must be odd, got {filters.shape[2:]}")
+    flat = filters.reshape(bands, kv * kh)
+    taps = np.flatnonzero(np.any(flat, axis=0))
+    offsets = [(t // kh - kv // 2, t % kh - kh // 2) for t in taps.tolist()]
+    return offsets, np.ascontiguousarray(flat[:, taps])
+
+
+def _wrap_shift(dst, src, a, b, add=False):
+    """``dst = np.roll(src, (a, b))`` over the two spatial axes (``+=``
+    with ``add``), written block by block without a temporary."""
+    n, m = src.shape[-2:]
+    a, b = a % n, b % m
+    for d0, s0, n0 in ((0, n - a, a), (a, 0, n - a)):
+        for d1, s1, n1 in ((0, m - b, b), (b, 0, m - b)):
+            if n0 and n1:
+                block = src[..., s0 : s0 + n0, s1 : s1 + n1]
+                if add:
+                    dst[..., d0 : d0 + n0, d1 : d1 + n1] += block
+                else:
+                    dst[..., d0 : d0 + n0, d1 : d1 + n1] = block
+
+
+def bank_down(filters, x) -> np.ndarray:
+    """Apply a ``(bands, 1, k, k)`` filter stack to every channel of ``x``
+    and decimate by 2.
+
+    Equals ``downsample(conv2d(B, x), 2)`` for the block-diagonal bank
+    ``B`` of shape ``(C * bands, C, k, k)`` whose rows hold the bands of
+    each input channel in turn.  Output ``(p, q)`` of tap ``(du, dv)``
+    reads ``x[2p - du, 2q - dv]``: one polyphase component of ``x``,
+    circularly shifted.  Those components, one per nonzero tap, are
+    stacked and mixed into the bands by one small matrix product.
+    """
+    c, cols, h, w = x.shape
+    if h % 2 or w % 2:
+        raise ShapeError(f"spatial dims {h}x{w} not divisible by factor 2")
+    h, w = h // 2, w // 2
+    offsets, weights = _bank_taps(filters)
+    stack = np.empty((c, len(offsets), cols, h, w))
+    for i, (du, dv) in enumerate(offsets):
+        e, f = du % 2, dv % 2
+        _wrap_shift(stack[:, i], x[:, :, e::2, f::2], (du + e) // 2, (dv + f) // 2)
+    out = weights @ stack.reshape(c, len(offsets), cols * h * w)
+    return out.reshape(c * filters.shape[0], cols, h, w)
+
+
+def bank_up(filters, x) -> np.ndarray:
+    """Up-sample by 2 and apply the transposed per-channel bank: the
+    synthesis that :func:`bank_down` with the 180-degree rotated filters
+    is the adjoint of.
+
+    Equals ``conv2d(tensor_transpose(B), upsample(x, 2))`` for the
+    block-diagonal bank ``B`` of ``(C, bands)`` blocks, where ``x`` holds
+    ``C * bands`` channels.  Tap ``(du, dv)`` writes only the output phase
+    ``(du % 2, dv % 2)``, from the bands mixed by that tap's weights and
+    circularly shifted.
+    """
+    bands = filters.shape[0]
+    cb, cols, h, w = x.shape
+    if cb % bands:
+        raise ShapeError(f"{cb} channels do not split into {bands} bands")
+    c = cb // bands
+    offsets, weights = _bank_taps(filters)
+    mixed = np.ascontiguousarray(weights.T) @ x.reshape(c, bands, cols * h * w)
+    mixed = mixed.reshape(c, len(offsets), cols, h, w)
+    out = np.empty((c, cols, 2 * h, 2 * w))
+    written = set()  # output phases that a tap has written; later ones add
+    for i, (du, dv) in enumerate(offsets):
+        e, f = du % 2, dv % 2
+        shift = (du - e) // 2, (dv - f) // 2
+        _wrap_shift(out[:, :, e::2, f::2], mixed[:, i], *shift, add=(e, f) in written)
+        written.add((e, f))
+    for e, f in {(0, 0), (0, 1), (1, 0), (1, 1)} - written:
+        out[:, :, e::2, f::2] = 0.0
     return out
 
 

@@ -65,6 +65,29 @@ def downsample_reference(signal, s):
     return out
 
 
+def upsample_reference(signal, s):
+    """Zero insertion by explicit index placement."""
+    r, c, height, width = signal.shape
+    out = np.zeros((r, c, height * s, width * s))
+    for i in range(height):
+        for j in range(width):
+            out[:, :, i * s, j * s] = signal[:, :, i, j]
+    return out
+
+
+def block_diag_bank(filters, channels):
+    """Dense ``(channels * bands, channels, v, h)`` kernel that applies a
+    ``(bands, 1, v, h)`` filter stack to every channel separately, the
+    bands of each input channel grouped together; a full-resolution conv
+    with it is the undecimated per-channel filter bank."""
+    bands = filters.shape[0]
+    bank = np.zeros((channels * bands, channels, filters.shape[2], filters.shape[3]))
+    for c in range(channels):
+        for b in range(bands):
+            bank[c * bands + b, c] = filters[b, 0]
+    return bank
+
+
 def band_decompose_reference(filters, image, decimated):
     """Per-band convolution followed by optional decimation.
 

@@ -1,5 +1,7 @@
 """Gradient correctness, optimizer behavior, initialization."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from fdl import autodiff as ad
 from fdl import tensor
 from fdl.activations import ActivationSpec
 from fdl.errors import ConfigError
-from fdl.network import Conv, Network, build_red, evaluate
+from fdl.network import Conv, Network, Resample, build_lwfsn, build_red, build_unet, evaluate
 from fdl.optim import Adam, xavier_bound, xavier_uniform_init
 from fdl.training import build_toy
 
@@ -166,19 +168,28 @@ class TestGradCheck:
         assert np.max(np.abs(used.grad)) > 0
         np.testing.assert_array_equal(unused.grad, np.zeros_like(unused.value))
 
-    def test_shared_gradients_are_not_aliased(self):
+    def test_shared_gradients_are_not_aliased(self, monkeypatch):
         # out = (u + w) + u: u's two gradients and w's one all start as the
         # same upstream array; none may be summed into another in place
+        received = []
+        accumulate = ad.Node._accumulate
+
+        def recording(node, g):
+            received.append(g)
+            accumulate(node, g)
+
+        monkeypatch.setattr(ad.Node, "_accumulate", recording)
         p = ad.Parameter(np.arange(4.0).reshape(1, 1, 2, 2))
         q = ad.Parameter(np.ones((1, 1, 2, 2)))
         u, w = ad.scale(p, 1.0), ad.scale(q, 1.0)
         inner = ad.add(u, w)
         ad.backward(ad.mse(ad.add(inner, u), ad.constant(np.zeros((1, 1, 2, 2)))))
+        # mse -> outer add; outer add -> inner, u; inner -> u, w; u -> p; w -> q
+        assert len(received) == 7
+        for i, a in enumerate(received):
+            for b in received[i + 1 :]:
+                assert not np.shares_memory(a, b)
         np.testing.assert_array_equal(p.grad, 2.0 * q.grad)
-        nodes = [inner, u, w]
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1 :]:
-                assert not np.shares_memory(a.grad, b.grad)
 
     def test_relu_subgradient_zero_at_kink(self):
         x = ad.Parameter(np.zeros((1, 1, 2, 2)))
@@ -190,6 +201,41 @@ class TestGradCheck:
         x = ad.Parameter(np.ones((1, 1, 2, 2)))
         with pytest.raises(ConfigError):
             ad.backward(ad.relu(x))
+
+    def test_second_backward_on_a_consumed_graph_raises(self):
+        k = ad.Parameter(np.ones((2, 1, 3, 3)))
+        loss = ad.mse(ad.conv(k, ad.constant(np.ones((1, 1, 4, 4)))), ad.constant(np.zeros((2, 1, 4, 4))))
+        ad.backward(loss)
+        with pytest.raises(ConfigError, match="consumed"):
+            ad.backward(loss)
+
+    def test_backward_frees_closure_data_while_loss_is_referenced(self, monkeypatch):
+        held = []  # weak references to every stack and rectifier mask
+        shift_stack = tensor._shift_stack
+        derivative = ad.activation_derivative
+
+        def stacks(*args, **kwargs):
+            out = shift_stack(*args, **kwargs)
+            held.append(weakref.ref(out))
+            return out
+
+        def masks(*args):
+            out = derivative(*args)
+            held.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(tensor, "_shift_stack", stacks)
+        monkeypatch.setattr(ad, "activation_derivative", masks)
+        model = build_toy(seed=1)
+        clean = np.random.default_rng(1).uniform(size=(1, 1, 16, 16))
+        loss = ad.mse(model.forward(clean), ad.constant(clean))
+        # three forward stacks (expanding convs) and six masks
+        assert len(held) == 9 and all(ref() is not None for ref in held)
+        ad.backward(loss)
+        # plus three backward stacks (contracting convs)
+        assert len(held) == 12
+        assert [ref for ref in held if ref() is not None] == []
+        assert np.isfinite(loss.value)  # values stay
 
     def test_backward_deterministic(self):
         rng = np.random.default_rng(9)
@@ -253,6 +299,53 @@ class TestPruning:
         ad.backward(loss)
         assert x.grad is None
         np.testing.assert_array_equal(frozen.grad, 0.0)
+
+
+class TestBankGradients:
+    """``ad.bank_down`` / ``ad.bank_up`` inside whole DWT networks."""
+
+    @staticmethod
+    def pairs(spec, params, net=None):
+        """``evaluate``'s weight pairs: the next parameters for each Conv
+        and, given ``net``, the filter stack it binds to each DWT layer."""
+        it = iter(params)
+        out = []
+        for idx, layer in enumerate(spec.layers):
+            if isinstance(layer, Conv):
+                out.append((next(it), next(it) if layer.bias else None))
+            elif net is not None and isinstance(layer, Resample) and layer.kind != "plain":
+                out.append((net.kernel_at(idx), None))
+        return out
+
+    @pytest.mark.parametrize("spec", [build_lwfsn(4), build_unet(2, 4)], ids=lambda s: s.name)
+    def test_gradients_and_bitwise_run(self, spec):
+        rng = np.random.default_rng(12)
+        values = []
+        for layer in spec.layers:
+            if isinstance(layer, Conv):
+                values.append(rng.normal(scale=0.5, size=(layer.out_ch, layer.in_ch, layer.n_f, layer.n_f)))
+                if layer.bias:
+                    values.append(rng.normal(scale=0.1, size=layer.out_ch))
+        net = Network(spec, self.pairs(spec, values))
+        x = rng.normal(size=(1, 1, 8, 8))
+        target = ad.constant(rng.normal(size=(1, 1, 8, 8)))
+        check_gradients(
+            lambda ps: ad.mse(evaluate(spec, self.pairs(spec, ps, net), ad.constant(x), ad), target),
+            values,
+            rng,
+        )
+        params = [ad.Parameter(v) for v in values]
+        out = evaluate(spec, self.pairs(spec, params, net), ad.constant(x), ad)
+        assert out.value.tobytes() == net.run(x).tobytes()
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_signal_gradient(self, direction):
+        rng = np.random.default_rng(13)
+        filters = rng.normal(size=(3, 1, 3, 3))
+        op = ad.bank_down if direction == "down" else ad.bank_up
+        shape, out_shape = ((2, 2, 6, 6), (6, 2, 3, 3)) if direction == "down" else ((6, 2, 3, 3), (2, 2, 6, 6))
+        target = ad.constant(rng.normal(size=out_shape))
+        check_gradients(lambda ps: ad.mse(op(filters, ps[0]), target), [rng.normal(size=shape)], rng)
 
 
 class TestAdjointIdentity:

@@ -168,6 +168,24 @@ class TestAnalyzeAndFlops:
         saved = json.loads((tmp_path / "report" / "pr_report.json").read_text())
         assert saved == payload
 
+    @pytest.mark.parametrize(
+        "name,perfect,gain_dc,gain_nyquist",
+        [
+            ("lwfsn", True, 1.0, 1.0),
+            ("red", True, 1.0, 1.0),
+            ("unet", False, 2.0, 1.0),
+            ("rlwfsn", False, 0.0, 1.0),
+            ("toy", False, 1.0, 0.5),
+        ],
+    )
+    def test_bundled_verdicts_and_gains(self, tmp_path, name, perfect, gain_dc, gain_nyquist):
+        result = run_cli(["analyze-pr", name], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["is_perfect"] is perfect
+        assert payload["gain_dc"] == pytest.approx(gain_dc, rel=0, abs=1e-12)
+        assert payload["gain_nyquist"] == pytest.approx(gain_nyquist, rel=0, abs=1e-12)
+
     def test_flops_worked_example(self, tmp_path):
         result = run_cli(["flops", "unet", "--rows", "512", "--cols", "512"], cwd=tmp_path)
         assert result.returncode == 0, result.stderr

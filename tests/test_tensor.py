@@ -7,7 +7,15 @@ from fdl import autodiff as ad
 from fdl import tensor
 from fdl.errors import ConfigError, NumericError, ShapeError
 
-from oracles import conv2d_reference, conv2d_roll_reference, dft2_reference
+from fdl.framelets import framelet_forward, framelet_inverse, haar_dwt
+from oracles import (
+    block_diag_bank,
+    conv2d_reference,
+    conv2d_roll_reference,
+    dft2_reference,
+    downsample_reference,
+    upsample_reference,
+)
 
 
 class TestConv2d:
@@ -254,3 +262,88 @@ class TestNarrowSideProperties:
                 folded = tensor._fold_products(kmat, y, kv, kh, correlate=correlate)
                 lhs = np.vdot(stack, products.swapaxes(0, 1))
                 assert abs(lhs - np.vdot(x, folded)) < 1e-11 * max(1.0, abs(lhs))
+
+
+def dwt_stacks():
+    bank = haar_dwt()
+    return {
+        "dwt_low": (bank.w_low, bank.w_low_tilde),
+        "dwt_high": (bank.w_high, bank.w_high_tilde),
+        "dwt_full": (bank.w, bank.w_tilde),
+    }
+
+
+def random_bank_cases(rng, n=8):
+    """Channels 1-8, columns 1-3 and even sides 2-32."""
+    for _ in range(n):
+        channels, cols = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        h, w = 2 * rng.integers(1, 17, size=2)
+        yield channels, cols, int(h), int(w)
+
+
+def rotated(filters):
+    return filters[:, :, ::-1, ::-1]
+
+
+class TestDwtBankProperties:
+    """The polyphase banks are the dense per-channel conv with decimation
+    (analysis) or zero insertion (synthesis), over all three DWT kinds."""
+
+    @pytest.mark.parametrize("kind", ["dwt_low", "dwt_high", "dwt_full"])
+    def test_match_dense_oracle(self, kind):
+        forward, inverse = dwt_stacks()[kind]
+        bands = forward.shape[0]
+        rng = np.random.default_rng((bands, 1))
+        for channels, cols, h, w in random_bank_cases(rng):
+            x = rng.normal(size=(channels, cols, h, w))
+            want = downsample_reference(conv2d_roll_reference(block_diag_bank(forward, channels), x), 2)
+            got = tensor.bank_down(forward, x)
+            assert got.shape == (channels * bands, cols, h // 2, w // 2)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+            z = rng.normal(size=(channels * bands, cols, h // 2, w // 2))
+            dense = np.swapaxes(block_diag_bank(inverse, channels), 0, 1)
+            want = conv2d_roll_reference(dense, upsample_reference(z, 2))
+            got = tensor.bank_up(inverse, z)
+            assert got.shape == (channels, cols, h, w)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", ["dwt_low", "dwt_high", "dwt_full"])
+    def test_adjoint_identity(self, kind):
+        forward, inverse = dwt_stacks()[kind]
+        bands = forward.shape[0]
+        rng = np.random.default_rng((bands, 2))
+        for channels, cols, h, w in random_bank_cases(rng):
+            x = rng.normal(size=(channels, cols, h, w))
+            y = rng.normal(size=(channels * bands, cols, h // 2, w // 2))
+            for filters in (forward, inverse):
+                lhs = np.vdot(tensor.bank_down(filters, x), y)
+                rhs = np.vdot(x, tensor.bank_up(rotated(filters), y))
+                assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+                lhs = np.vdot(tensor.bank_up(filters, y), x)
+                rhs = np.vdot(y, tensor.bank_down(rotated(filters), x))
+                assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+    def test_round_trips_are_identity(self):
+        forward, inverse = dwt_stacks()["dwt_full"]
+        basis = haar_dwt().basis()
+        rng = np.random.default_rng(3)
+        for channels, cols, h, w in random_bank_cases(rng, n=12):
+            x = rng.normal(size=(channels, cols, h, w))
+            back = tensor.bank_up(inverse, tensor.bank_down(forward, x))
+            assert np.max(np.abs(back - x)) < 1e-12
+            y = rng.normal(size=(1, 1, h, w))
+            bands = framelet_forward(basis, y, decimated=True)
+            assert np.max(np.abs(framelet_inverse(basis, bands, decimated=True) - y)) < 1e-12
+
+    def test_wide_filters_and_bad_shapes(self):
+        rng = np.random.default_rng(4)
+        filters = rng.normal(size=(2, 1, 7, 5))
+        x = rng.normal(size=(3, 2, 2, 4))
+        want = downsample_reference(conv2d_roll_reference(block_diag_bank(filters, 3), x), 2)
+        assert np.max(np.abs(tensor.bank_down(filters, x) - want)) < 1e-12
+        with pytest.raises(ShapeError):
+            tensor.bank_down(filters, rng.normal(size=(3, 1, 3, 4)))
+        with pytest.raises(ShapeError):
+            tensor.bank_up(filters, rng.normal(size=(3, 1, 2, 2)))
+        with pytest.raises(ConfigError):
+            tensor.bank_down(rng.normal(size=(2, 1, 2, 3)), x)
