@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .tensor import signed_impulse_bank
 
 __all__ = [
     "ActivationSpec",
@@ -190,16 +191,7 @@ def dog_shrink(z, t, p=2):
 
 def let_shrink(z, members):
     """Weighted combination of shrinkage functions; weights must sum to 1."""
-    weights = [w for w, _ in members]
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise ConfigError(f"let weights must sum to 1, got {sum(weights)}")
-    z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    for w, member in members:
-        if not member.is_shrink:
-            raise ConfigError(f"let member must be a shrinkage kind, got {member.kind!r}")
-        out += w * apply_activation(member, z)
-    return out
+    return apply_activation(ActivationSpec("let", members=tuple(members)), z)
 
 
 def apply_activation(spec: ActivationSpec, z):
@@ -217,7 +209,11 @@ def apply_activation(spec: ActivationSpec, z):
     if spec.kind == "dog_clip":
         return dog_clip(z, spec.t, spec.p)
     if spec.kind == "let":
-        return let_shrink(z, spec.members)
+        z = np.asarray(z, dtype=float)
+        out = np.zeros_like(z)
+        for w, member in spec.members:
+            out += w * apply_activation(member, z)
+        return out
     raise ConfigError(f"unknown activation kind {spec.kind!r}")
 
 
@@ -258,17 +254,6 @@ def activation_derivative(spec: ActivationSpec, z):
     raise ConfigError(f"unknown activation kind {spec.kind!r}")
 
 
-def _signed_delta_bank(channels, signs):
-    """Stack of 1x1 identity filters with the given sign pattern per input
-    channel: input channel ``c`` maps to ``len(signs)`` consecutive outputs."""
-    n = len(signs)
-    bank = np.zeros((n * channels, channels, 1, 1))
-    for c in range(channels):
-        for i, s in enumerate(signs):
-            bank[n * c + i, c, 0, 0] = s
-    return bank
-
-
 def shrink_as_relu(t, channels=1):
     """Soft threshold written as a two-channel ReLU layer.
 
@@ -279,8 +264,8 @@ def shrink_as_relu(t, channels=1):
     soft_shrink(z, t)``.
     """
     t = _as_threshold(t)
-    k = _signed_delta_bank(channels, (1.0, -1.0))
-    k_tilde = _signed_delta_bank(channels, (1.0, -1.0))
+    k = signed_impulse_bank(channels, (1.0, -1.0))
+    k_tilde = signed_impulse_bank(channels, (1.0, -1.0))
     per = np.broadcast_to(np.asarray(t, dtype=float), (channels,))
     b = -np.repeat(per, 2)
     return k, k_tilde, b
@@ -294,8 +279,8 @@ def clip_as_relu(t, channels=1):
     signs are inverted.
     """
     t = _as_threshold(t)
-    k = _signed_delta_bank(channels, (1.0, -1.0, 1.0, -1.0))
-    k_tilde = _signed_delta_bank(channels, (1.0, -1.0, -1.0, 1.0))
+    k = signed_impulse_bank(channels, (1.0, -1.0, 1.0, -1.0))
+    k_tilde = signed_impulse_bank(channels, (1.0, -1.0, -1.0, 1.0))
     per = np.broadcast_to(np.asarray(t, dtype=float), (channels,))
     b = np.stack([np.zeros(channels), np.zeros(channels), -per, -per], axis=1).reshape(-1)
     return k, k_tilde, b

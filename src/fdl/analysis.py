@@ -32,7 +32,7 @@ from .network import (
     validate_spec,
 )
 from .network import _main_input  # shared layer-graph helper
-from .tensor import conv2d, identity_image, tensor_transpose
+from .tensor import conv2d, identity_image, signed_impulse_bank, tensor_transpose
 
 __all__ = [
     "PRReport",
@@ -170,28 +170,6 @@ def _pair_convs(spec: NetworkSpec):
     return pairs, modes
 
 
-def _analysis_bank(layer: Conv, mode: str) -> np.ndarray:
-    center = layer.n_f // 2
-    bank = np.zeros((layer.out_ch, layer.in_ch, layer.n_f, layer.n_f))
-    if mode == "pct":
-        if layer.out_ch < 2 * layer.in_ch:
-            raise ConfigError(
-                f"conv {layer.in_ch}->{layer.out_ch} cannot host sign-duplicated "
-                f"filters (needs at least {2 * layer.in_ch} outputs)"
-            )
-        for c in range(layer.in_ch):
-            bank[2 * c, c, center, center] = 1.0
-            bank[2 * c + 1, c, center, center] = -1.0
-    else:
-        if layer.out_ch < layer.in_ch:
-            raise ConfigError(
-                f"conv {layer.in_ch}->{layer.out_ch} cannot host an identity frame"
-            )
-        for c in range(layer.in_ch):
-            bank[c, c, center, center] = 1.0
-    return bank
-
-
 def _neutral_activation(spec: ActivationSpec) -> ActivationSpec:
     """Activation with its suppression disabled (thresholds to the
     pass-through limit); rectifiers keep their kink."""
@@ -211,7 +189,8 @@ def ideal_instantiation(spec: NetworkSpec) -> Network:
     for idx, layer in enumerate(spec.layers):
         if isinstance(layer, Conv):
             if idx in modes:
-                banks[idx] = _analysis_bank(layer, modes[idx])
+                signs = (1.0, -1.0) if modes[idx] == "pct" else (1.0,)
+                banks[idx] = signed_impulse_bank(layer.in_ch, signs, layer.out_ch, layer.n_f)
                 weights.append((banks[idx], None))
             elif idx in pairs:
                 enc_layer = spec.layers[pairs[idx]]
@@ -365,8 +344,6 @@ def equivalent_filter(net: Network, grid=None, pct_tol=0.05) -> np.ndarray:
             flow = conv2d(payload, flow)
         else:
             flow = flow * payload
-    if flow.shape[0] != spec.input_channels:
-        raise ConfigError("equivalent filter: network does not map back to its input channels")
     return flow
 
 
@@ -379,38 +356,23 @@ def count_flops(spec: NetworkSpec, n_r, n_c) -> int:
     """Multiply-accumulate count of the trainable convolutions.
 
     Each conv contributes ``out_ch * in_ch * rows * cols * n_f^2`` at the
-    resolution where it runs; resampling layers change the resolution but
-    cost nothing themselves.
+    resolution level :func:`~fdl.network.validate_spec` assigns it;
+    resampling layers change the level but cost nothing themselves.
     """
-    validate_spec(spec)
+    nodes = validate_spec(spec)
     n_r, n_c = int(n_r), int(n_c)
     if n_r < 1 or n_c < 1:
         raise ConfigError(f"image size must be positive, got {n_r}x{n_c}")
-    res = []  # (rows, cols) per layer output
-
-    def res_of(ref):
-        return (n_r, n_c) if ref == -1 else res[ref]
-
-    total = 0
-    for idx, layer in enumerate(spec.layers):
-        rows, cols = res_of(_main_input(idx, layer))
-        if isinstance(layer, Conv):
-            total += layer.out_ch * layer.in_ch * rows * cols * layer.n_f**2
-        elif isinstance(layer, Resample):
-            if layer.direction == "down":
-                if rows % layer.s or cols % layer.s:
-                    raise ShapeError(
-                        f"layer {idx}: resolution {rows}x{cols} not divisible by {layer.s}"
-                    )
-                rows, cols = rows // layer.s, cols // layer.s
-            else:
-                rows, cols = rows * layer.s, cols * layer.s
-        elif isinstance(layer, SkipAdd):
-            other = res_of(layer.from_)
-            if other != (rows, cols):
-                raise ShapeError(f"layer {idx}: skip joins different resolutions")
-        res.append((rows, cols))
-    return int(total)
+    factor = 2 ** max([0] + [level for _, level in nodes])
+    if n_r % factor or n_c % factor:
+        raise ShapeError(f"resolution {n_r}x{n_c} not divisible by {factor}")
+    area = n_r * n_c  # pixels at level 0; level l has 4^-l times as many
+    return sum(
+        layer.out_ch * layer.in_ch * layer.n_f**2
+        * (area >> 2 * level if level >= 0 else area << -2 * level)
+        for layer, (_, level) in zip(spec.layers, nodes)
+        if isinstance(layer, Conv)
+    )
 
 
 def _even(n_r, n_c):

@@ -1,11 +1,11 @@
 """Minimal reverse-mode differentiation engine.
 
 Covers exactly the operations the trainable models need: tensor
-convolution, channel transposition, factor-s resampling, the fixed
-per-channel DWT filter banks (analysis with decimation, synthesis with
-up-sampling), the activation family, elementwise add/subtract, scalar
-scaling, per-channel bias, and mean squared error.  Graphs are built
-eagerly as Python objects and differentiated once by a topological sweep.
+convolution, channel transposition, the fixed per-channel resampling
+filter banks (analysis with decimation by 2, synthesis with up-sampling
+by 2), the activation family, elementwise add/subtract, per-channel bias,
+and mean squared error.  Graphs are built eagerly as Python objects and
+differentiated once by a topological sweep.
 
 Gradients accumulate into ``Node.grad``; parameters start with a zero
 gradient so a parameter that does not influence the loss simply keeps it.
@@ -36,16 +36,12 @@ __all__ = [
     "constant",
     "conv",
     "transpose",
-    "down",
-    "up",
     "bank_down",
     "bank_up",
     "add",
     "sub",
-    "scale",
     "add_bias",
     "act",
-    "relu",
     "mse",
     "backward",
 ]
@@ -128,14 +124,6 @@ def transpose(node: Node) -> Node:
     return Node(value, (node,), (lambda g: np.swapaxes(g, 0, 1).copy(),))
 
 
-def down(node: Node, s: int) -> Node:
-    return Node(T.downsample(node.value, s), (node,), (lambda g: T.upsample(g, s),))
-
-
-def up(node: Node, s: int) -> Node:
-    return Node(T.upsample(node.value, s), (node,), (lambda g: T.downsample(g, s),))
-
-
 def bank_down(filters, node: Node) -> Node:
     """Fixed filter stack on every channel, decimated by 2.  ``filters`` is
     a plain array; the adjoint is :func:`fdl.tensor.bank_up` with the
@@ -163,11 +151,6 @@ def sub(a: Node, b: Node) -> Node:
     return Node(a.value - b.value, (a, b), (lambda g: g, lambda g: -g))
 
 
-def scale(node: Node, factor: float) -> Node:
-    factor = float(factor)
-    return Node(node.value * factor, (node,), (lambda g: g * factor,))
-
-
 def add_bias(x: Node, bias: Node) -> Node:
     """Add a per-channel bias vector to a 4-D tensor."""
     if bias.value.ndim != 1 or x.value.ndim != 4 or bias.value.size != x.value.shape[0]:
@@ -180,13 +163,6 @@ def act(node: Node, spec: ActivationSpec) -> Node:
     """Apply an activation elementwise; kinks use the flat-side subgradient."""
     deriv = activation_derivative(spec, node.value)
     return Node(apply_activation(spec, node.value), (node,), (lambda g: g * deriv,))
-
-
-_RELU = ActivationSpec("relu_bias", t=0.0)
-
-
-def relu(node: Node) -> Node:
-    return act(node, _RELU)
 
 
 def mse(a: Node, b: Node) -> Node:

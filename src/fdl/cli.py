@@ -18,6 +18,7 @@ why this module defers all package imports into the command handlers.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -346,13 +347,9 @@ def _cmd_train(args, argv):
 
 
 def _cmd_experiment(args, argv):
-    from fdl.experiments import ExperimentConfig, experiment_names, run_named_experiment
+    from fdl.experiments import ExperimentConfig, run_named_experiment
 
     started = time.time()
-    if args.name not in experiment_names():
-        raise CommandLineError(
-            f"unknown experiment {args.name!r}; valid names: {', '.join(experiment_names())}"
-        )
     seed = _env_seed()
     seed = args.seed if seed is None else seed
     cfg = ExperimentConfig(
@@ -364,18 +361,8 @@ def _cmd_experiment(args, argv):
     )
     run_dir = args.out or os.path.join("runs", f"{args.name}-seed{seed}")
     report = run_named_experiment(args.name, cfg, run_dir)
-    config_snapshot = {
-        "experiment": args.name,
-        "seed": seed,
-        "epochs": cfg.epochs,
-        "images_per_epoch": cfg.images_per_epoch,
-        "image_size": list(cfg.image_size),
-        "test_image_size": cfg.test_image_size,
-        "sigma_train": cfg.sigma_train,
-        "lr_initial": cfg.lr_initial,
-        "batch_size": cfg.batch_size,
-    }
-    _finish_run(run_dir, argv, started, config_snapshot, seed=seed)
+    config = {"experiment": args.name, **dataclasses.asdict(cfg)}
+    _finish_run(run_dir, argv, started, config, seed=seed)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return EXIT_OK
 

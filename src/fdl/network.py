@@ -6,14 +6,18 @@ layer consumes the previous layer's output unless it names an explicit
 earlier output into the chain.  A skip marked ``residual`` is an identity
 shortcut around an encoder-decoder block; the reconstruction analyzer
 removes those before probing, as does the global subtractive wrapper
-selected by ``NetworkSpec.residual``.
+selected by ``NetworkSpec.residual``.  Every resampling layer changes the
+resolution by a factor of 2; :func:`validate_spec` tracks the channel
+count and resolution level of each layer output, so a skip joins like
+with like and the graph returns to the input's channels and resolution.
 
 Specs carry no weights.  :func:`evaluate` is the one interpreter of a
 spec: it walks the layers once over any op set, plain arrays
 (:data:`NUMPY_OPS`) or differentiable nodes (:mod:`fdl.autodiff`).
 :class:`Network` binds concrete kernels and biases to a spec and evaluates
-it on images with the tensor runtime; the fixed Haar filter stacks behind
-DWT-style resampling layers are bound automatically and run polyphase
+it on images with the tensor runtime; every resampling layer is bound
+automatically to its fixed filter stack (a Haar bank, or the one-band
+unit filter for ``plain``) and runs polyphase
 (:func:`fdl.tensor.bank_down` / :func:`fdl.tensor.bank_up`), one small
 stack applied to every channel.
 """
@@ -30,7 +34,7 @@ import numpy as np
 from .activations import ActivationSpec, apply_activation
 from .errors import ConfigError, ShapeError
 from .framelets import haar_dwt
-from .tensor import as_tensor4, bank_down, bank_up, conv2d, downsample, upsample
+from .tensor import as_tensor4, bank_down, bank_up, conv2d
 
 __all__ = [
     "Conv",
@@ -52,11 +56,31 @@ __all__ = [
     "TOY_WIDTHS",
 ]
 
-RESAMPLE_KINDS = ("plain", "dwt_low", "dwt_high", "dwt_full")
-
 # Channel widths of the three-level reference model used in the training
 # experiments.
 TOY_WIDTHS = (6, 12, 24)
+
+
+def _resample_filters():
+    """``(bands, 1, k, k)`` filter stack of each resampling kind, read-only
+    because every network shares them: the analysis stack going down, the
+    synthesis stack going up.  ``plain`` is the one-band unit filter (keep
+    phase 0 / insert zeros); the DWT kinds are Haar banks."""
+    bank = haar_dwt()
+    unit = np.ones((1, 1, 1, 1))
+    stacks = {
+        "plain": {"down": unit, "up": unit},
+        "dwt_low": {"down": bank.w_low, "up": bank.w_low_tilde},
+        "dwt_high": {"down": bank.w_high, "up": bank.w_high_tilde},
+        "dwt_full": {"down": bank.w, "up": bank.w_tilde},
+    }
+    for pair in stacks.values():
+        for filters in pair.values():
+            filters.flags.writeable = False
+    return stacks
+
+
+_RESAMPLE_FILTERS = _resample_filters()
 
 
 @dataclass(frozen=True)
@@ -78,7 +102,6 @@ class Activation:
 class Resample:
     direction: str  # "down" | "up"
     kind: str = "plain"
-    s: int = 2
     source: int | None = None
 
 
@@ -117,18 +140,24 @@ def _check_ref(idx, ref, what):
 
 
 def validate_spec(spec: NetworkSpec) -> list:
-    """Check layer wiring and channel arithmetic; returns channels per node."""
-    channels = []  # channel count of each layer output
+    """Check layer wiring, channel arithmetic and resolution.
 
-    def channels_of(ref):
-        return spec.input_channels if ref == -1 else channels[ref]
+    Returns the ``(channels, level)`` of each layer output, where ``level``
+    counts the factor-2 decimations from the input (negative after
+    up-sampling).  A skip must join two equal pairs, and the graph output
+    must be ``(input_channels, 0)``.
+    """
+    nodes = []  # (channels, level) of each layer output
+
+    def node_of(ref):
+        return (spec.input_channels, 0) if ref == -1 else nodes[ref]
 
     for idx, layer in enumerate(spec.layers):
         _check_ref(idx, layer.source, "source")
         src = _main_input(idx, layer)
         if src < -1:
             raise ConfigError(f"layer {idx}: no previous layer to consume")
-        c_in = channels_of(src)
+        c_in, level = node_of(src)
         if isinstance(layer, Conv):
             if layer.in_ch != c_in:
                 raise ConfigError(
@@ -138,44 +167,44 @@ def validate_spec(spec: NetworkSpec) -> list:
                 raise ConfigError(f"layer {idx}: filter size must be odd, got {layer.n_f}")
             if layer.out_ch < 1:
                 raise ConfigError(f"layer {idx}: out_ch must be >= 1")
-            channels.append(layer.out_ch)
+            nodes.append((layer.out_ch, level))
         elif isinstance(layer, Activation):
             if not isinstance(layer.spec, ActivationSpec):
                 raise ConfigError(f"layer {idx}: activation needs an ActivationSpec")
-            channels.append(c_in)
+            nodes.append((c_in, level))
         elif isinstance(layer, Resample):
             if layer.direction not in ("down", "up"):
                 raise ConfigError(f"layer {idx}: bad resample direction {layer.direction!r}")
-            if layer.kind not in RESAMPLE_KINDS:
+            if layer.kind not in _RESAMPLE_FILTERS:
                 raise ConfigError(f"layer {idx}: bad resample kind {layer.kind!r}")
-            if layer.kind != "plain" and layer.s != 2:
-                raise ConfigError(f"layer {idx}: DWT resampling requires factor 2, got {layer.s}")
-            factor = {"plain": 1, "dwt_low": 1, "dwt_high": 3, "dwt_full": 4}[layer.kind]
+            bands = _RESAMPLE_FILTERS[layer.kind]["down"].shape[0]
             if layer.direction == "down":
-                channels.append(c_in * factor)
+                nodes.append((c_in * bands, level + 1))
+            elif c_in % bands:
+                raise ConfigError(
+                    f"layer {idx}: {layer.kind} up-sampling needs a multiple of "
+                    f"{bands} channels, got {c_in}"
+                )
             else:
-                if factor > 1 and c_in % factor:
-                    raise ConfigError(
-                        f"layer {idx}: {layer.kind} up-sampling needs a multiple of "
-                        f"{factor} channels, got {c_in}"
-                    )
-                channels.append(c_in // factor)
+                nodes.append((c_in // bands, level - 1))
         elif isinstance(layer, SkipAdd):
             _check_ref(idx, layer.from_, "skip reference")
-            other = channels_of(layer.from_)
-            if other != c_in:
+            other = node_of(layer.from_)
+            if other != (c_in, level):
                 raise ConfigError(
-                    f"layer {idx}: skip-add channel mismatch ({c_in} vs {other})"
+                    f"layer {idx}: skip-add joins {c_in} channels at level {level} "
+                    f"with {other[0]} channels at level {other[1]}"
                 )
-            channels.append(c_in)
+            nodes.append((c_in, level))
         else:
             raise ConfigError(f"layer {idx}: unknown layer type {type(layer).__name__}")
-    if spec.residual and spec.layers:
-        if channels[-1] != spec.input_channels:
-            raise ConfigError(
-                "residual wrapper needs the graph output to match the input channels"
-            )
-    return channels
+    out = nodes[-1] if nodes else (spec.input_channels, 0)
+    if out != (spec.input_channels, 0):
+        raise ConfigError(
+            f"graph output has {out[0]} channels at level {out[1]}; it must return to "
+            f"the input's {spec.input_channels} channels at level 0"
+        )
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +363,7 @@ def spec_to_json(spec: NetworkSpec) -> dict:
         elif isinstance(layer, Activation):
             entry = {"type": "activation", "activation": _act_to_json(layer.spec)}
         elif isinstance(layer, Resample):
-            entry = {
-                "type": "resample",
-                "direction": layer.direction,
-                "kind": layer.kind,
-                "s": layer.s,
-            }
+            entry = {"type": "resample", "direction": layer.direction, "kind": layer.kind}
         elif isinstance(layer, SkipAdd):
             entry = {"type": "skip_add", "from": layer.from_, "residual": layer.residual}
         else:  # pragma: no cover - validate_spec rejects these earlier
@@ -376,11 +400,12 @@ def spec_from_json(payload: dict) -> NetworkSpec:
             elif kind == "activation":
                 layers.append(Activation(_act_from_json(entry["activation"]), source=source))
             elif kind == "resample":
+                if int(entry.get("s", 2)) != 2:
+                    raise ConfigError(f"resampling factor must be 2, got {entry['s']}")
                 layers.append(
                     Resample(
                         direction=entry["direction"],
                         kind=entry.get("kind", "plain"),
-                        s=int(entry.get("s", 2)),
                         source=source,
                     )
                 )
@@ -419,33 +444,12 @@ def load_spec(path) -> NetworkSpec:
 # ---------------------------------------------------------------------------
 
 
-def _dwt_filters():
-    """Haar ``(bands, 1, 3, 3)`` filter stacks of each DWT kind, read-only
-    because every network shares them: the analysis stack going down, the
-    synthesis stack going up."""
-    bank = haar_dwt()
-    stacks = {
-        "dwt_low": {"down": bank.w_low, "up": bank.w_low_tilde},
-        "dwt_high": {"down": bank.w_high, "up": bank.w_high_tilde},
-        "dwt_full": {"down": bank.w, "up": bank.w_tilde},
-    }
-    for pair in stacks.values():
-        for filters in pair.values():
-            filters.flags.writeable = False
-    return stacks
-
-
-_DWT_FILTERS = _dwt_filters()
-
-
 # The op set of :func:`evaluate` on plain arrays; :mod:`fdl.autodiff`
 # provides the same names on graph nodes.
 NUMPY_OPS = SimpleNamespace(
     conv=lambda kernel, x: conv2d(kernel, x),
     add_bias=lambda x, bias: x + bias[:, None, None, None],
     act=lambda x, spec: apply_activation(spec, x),
-    down=lambda x, s: downsample(x, s),
-    up=lambda x, s: upsample(x, s),
     bank_down=bank_down,
     bank_up=bank_up,
     add=operator.add,
@@ -461,16 +465,15 @@ def evaluate(spec: NetworkSpec, conv_weights, x, ops):
 
     * ``conv(kernel, x)`` and ``add_bias(x, bias)`` for Conv layers;
     * ``act(x, spec)`` for Activation layers;
-    * ``down(x, s)`` / ``up(x, s)`` for ``plain`` resampling;
-    * ``bank_down(filters, x)`` / ``bank_up(filters, x)`` for DWT
-      resampling: a fixed ``(bands, 1, k, k)`` filter stack applied to
-      each channel, with decimation by 2 (analysis) or up-sampling by 2
+    * ``bank_down(filters, x)`` / ``bank_up(filters, x)`` for Resample
+      layers: a fixed ``(bands, 1, k, k)`` filter stack applied to each
+      channel, with decimation by 2 (analysis) or up-sampling by 2
       (synthesis);
     * ``add(a, b)`` for SkipAdd layers and ``sub(a, b)`` for the residual
       wrapper.
 
     ``conv_weights`` holds one ``(kernel, bias_or_None)`` pair per Conv
-    layer and per DWT resampling layer in spec order; a Conv's pair is in
+    layer and per Resample layer in spec order; a Conv's pair is in
     the form ``ops`` takes, and a resampling layer's kernel is its filter
     stack, a plain array, with no bias.  Only the outputs that a later
     layer names as ``source`` or ``from_`` are kept alive.
@@ -489,12 +492,9 @@ def evaluate(spec: NetworkSpec, conv_weights, x, ops):
                 out = ops.add_bias(out, bias)
         elif isinstance(layer, Activation):
             out = ops.act(out, layer.spec)
-        elif isinstance(layer, Resample) and layer.kind != "plain":
+        elif isinstance(layer, Resample):
             bank = ops.bank_down if layer.direction == "down" else ops.bank_up
             out = bank(next(weights)[0], out)
-        elif isinstance(layer, Resample):
-            resample = ops.down if layer.direction == "down" else ops.up
-            out = resample(out, layer.s)
         else:  # SkipAdd
             out = ops.add(out, kept[layer.from_])
         if idx in named:
@@ -506,8 +506,8 @@ class Network:
     """A spec bound to concrete weights, evaluated with the tensor runtime.
 
     ``conv_weights`` is one ``(kernel, bias_or_None)`` pair per Conv layer
-    in spec order; kernels must match the declared shapes.  Each DWT
-    resampling layer is bound to its fixed Haar filter stack.
+    in spec order; kernels must match the declared shapes.  Each
+    resampling layer is bound to its fixed filter stack.
     """
 
     def __init__(self, spec: NetworkSpec, conv_weights):
@@ -533,8 +533,8 @@ class Network:
                 else:
                     bias = None
                 self._weights[idx] = (kernel, bias)
-            elif isinstance(layer, Resample) and layer.kind != "plain":
-                self._weights[idx] = (_DWT_FILTERS[layer.kind][layer.direction], None)
+            elif isinstance(layer, Resample):
+                self._weights[idx] = (_RESAMPLE_FILTERS[layer.kind][layer.direction], None)
 
     def run(self, image) -> np.ndarray:
         """Evaluate the network on an image (or multi-channel tensor)."""
@@ -546,8 +546,8 @@ class Network:
         return evaluate(self.spec, self._weights.values(), x_in, NUMPY_OPS)
 
     def kernel_at(self, idx):
-        """Kernel bound to layer ``idx``: a Conv layer's kernel, or a DWT
-        resampling layer's ``(bands, 1, 3, 3)`` filter stack (read-only),
+        """Kernel bound to layer ``idx``: a Conv layer's kernel, or a
+        resampling layer's ``(bands, 1, k, k)`` filter stack (read-only),
         which the layer applies to each channel separately."""
         return self._weights[idx][0]
 

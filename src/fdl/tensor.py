@@ -40,6 +40,7 @@ from .errors import ConfigError, NumericError, ShapeError
 __all__ = [
     "as_tensor4",
     "as_image",
+    "signed_impulse_bank",
     "identity_kernel",
     "impulse_image",
     "identity_image",
@@ -81,14 +82,33 @@ def as_image(data, name="image") -> np.ndarray:
     return arr
 
 
+def signed_impulse_bank(channels, signs, out_ch=None, size=1) -> np.ndarray:
+    """Kernel of centered impulses, ``len(signs)`` outputs per input channel.
+
+    Input channel ``c`` maps to outputs ``n * c + i`` with weight
+    ``signs[i]``, ``n = len(signs)``; ``signs = (1, -1)`` gives the
+    sign-duplicated pairs that survive a rectifier.  Output rows past
+    ``n * channels`` (up to ``out_ch``, default ``n * channels``) stay zero.
+    """
+    n = len(signs)
+    out_ch = n * channels if out_ch is None else out_ch
+    if size % 2 == 0:
+        raise ConfigError(f"impulse kernel size must be odd, got {size}")
+    if out_ch < n * channels:
+        raise ConfigError(
+            f"{out_ch} output channels cannot host {n} signed impulses for each of "
+            f"{channels} input channels"
+        )
+    k = np.zeros((out_ch, channels, size, size))
+    for c in range(channels):
+        for i, sign in enumerate(signs):
+            k[n * c + i, c, size // 2, size // 2] = sign
+    return k
+
+
 def identity_kernel(channels=1, size=1) -> np.ndarray:
     """Kernel that maps every channel to itself: a centered unit impulse."""
-    if size % 2 == 0:
-        raise ConfigError("identity kernel size must be odd")
-    k = np.zeros((channels, channels, size, size))
-    for c in range(channels):
-        k[c, c, size // 2, size // 2] = 1.0
-    return k
+    return signed_impulse_bank(channels, (1.0,), size=size)
 
 
 def impulse_image(n_r, n_c=None) -> np.ndarray:

@@ -26,7 +26,7 @@ from .errors import ConfigError, NumericError
 from .metrics import snr_db
 from .network import NUMPY_OPS, TOY_WIDTHS, build_toy_spec, evaluate
 from .optim import Adam, xavier_uniform_init
-from .tensor import as_image, tensor_transpose
+from .tensor import as_image, signed_impulse_bank, tensor_transpose
 
 __all__ = [
     "TrainConfig",
@@ -140,15 +140,6 @@ class ToyModel:
         return self.enc_kernels[-1].value, self.dec_kernels[-1].value
 
 
-def _delta_pair_bank(out_ch, in_ch, n_f):
-    bank = np.zeros((out_ch, in_ch, n_f, n_f))
-    center = n_f // 2
-    for c in range(in_ch):
-        bank[2 * c, c, center, center] = 1.0
-        bank[2 * c + 1, c, center, center] = -1.0
-    return bank
-
-
 def build_toy(seed=0, init_mode="independent", bias_mode="learned", widths=TOY_WIDTHS, n_f=3):
     """Construct the trainable model.
 
@@ -168,7 +159,7 @@ def build_toy(seed=0, init_mode="independent", bias_mode="learned", widths=TOY_W
     trainable_bias = bias_mode == "learned"
 
     if init_mode == "pct_delta":
-        enc_values = [_delta_pair_bank(*s[:2], n_f) for s in shapes]
+        enc_values = [signed_impulse_bank(s[1], (1.0, -1.0), s[0], n_f) for s in shapes]
         dec_values = [v.copy() for v in enc_values]
     else:
         enc_values = [xavier_uniform_init(s, rng) for s in shapes]

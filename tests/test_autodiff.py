@@ -9,7 +9,17 @@ from fdl import autodiff as ad
 from fdl import tensor
 from fdl.activations import ActivationSpec
 from fdl.errors import ConfigError
-from fdl.network import Conv, Network, Resample, build_lwfsn, build_red, build_unet, evaluate
+from fdl.network import (
+    Conv,
+    Network,
+    NetworkSpec,
+    Resample,
+    SkipAdd,
+    build_lwfsn,
+    build_red,
+    build_unet,
+    evaluate,
+)
 from fdl.optim import Adam, xavier_bound, xavier_uniform_init
 from fdl.training import build_toy
 
@@ -82,16 +92,18 @@ class TestGradCheck:
         )
 
     def test_resampling_gradients(self):
+        # plain resampling: the bank ops with the one-band unit filter
         rng = np.random.default_rng(3)
+        unit = np.ones((1, 1, 1, 1))
         t_down = ad.constant(rng.normal(size=(2, 1, 3, 3)))
         t_up = ad.constant(rng.normal(size=(2, 1, 12, 12)))
         check_gradients(
-            lambda ps: ad.mse(ad.down(ps[0], 2), t_down),
+            lambda ps: ad.mse(ad.bank_down(unit, ps[0]), t_down),
             [rng.normal(size=(2, 1, 6, 6))],
             rng,
         )
         check_gradients(
-            lambda ps: ad.mse(ad.up(ps[0], 2), t_up),
+            lambda ps: ad.mse(ad.bank_up(unit, ps[0]), t_up),
             [rng.normal(size=(2, 1, 6, 6))],
             rng,
         )
@@ -101,7 +113,7 @@ class TestGradCheck:
         target = ad.constant(rng.normal(size=(2, 1, 4, 4)))
         shapes = [(2, 1, 4, 4), (2, 1, 4, 4)]
         check_gradients(
-            lambda ps: ad.mse(ad.add(ps[0], ad.scale(ps[1], 0.7)), target),
+            lambda ps: ad.mse(ad.add(ps[0], ps[1]), target),
             [rng.normal(size=s) for s in shapes],
             rng,
         )
@@ -181,7 +193,7 @@ class TestGradCheck:
         monkeypatch.setattr(ad.Node, "_accumulate", recording)
         p = ad.Parameter(np.arange(4.0).reshape(1, 1, 2, 2))
         q = ad.Parameter(np.ones((1, 1, 2, 2)))
-        u, w = ad.scale(p, 1.0), ad.scale(q, 1.0)
+        u, w = ad.transpose(p), ad.transpose(q)
         inner = ad.add(u, w)
         ad.backward(ad.mse(ad.add(inner, u), ad.constant(np.zeros((1, 1, 2, 2)))))
         # mse -> outer add; outer add -> inner, u; inner -> u, w; u -> p; w -> q
@@ -193,14 +205,15 @@ class TestGradCheck:
 
     def test_relu_subgradient_zero_at_kink(self):
         x = ad.Parameter(np.zeros((1, 1, 2, 2)))
-        loss = ad.mse(ad.relu(x), ad.constant(np.ones((1, 1, 2, 2))))
+        relu = ad.act(x, ActivationSpec("relu_bias", t=0.0))
+        loss = ad.mse(relu, ad.constant(np.ones((1, 1, 2, 2))))
         ad.backward(loss)
         np.testing.assert_array_equal(x.grad, np.zeros_like(x.value))
 
     def test_non_scalar_loss_rejected(self):
         x = ad.Parameter(np.ones((1, 1, 2, 2)))
         with pytest.raises(ConfigError):
-            ad.backward(ad.relu(x))
+            ad.backward(ad.act(x, ActivationSpec("relu_bias", t=0.0)))
 
     def test_second_backward_on_a_consumed_graph_raises(self):
         k = ad.Parameter(np.ones((2, 1, 3, 3)))
@@ -301,23 +314,38 @@ class TestPruning:
         np.testing.assert_array_equal(frozen.grad, 0.0)
 
 
+PLAIN_SPEC = NetworkSpec(
+    layers=(
+        Conv(2, 1, 3),
+        Resample("down", "plain"),
+        Conv(2, 2, 3),
+        Resample("up", "plain"),
+        SkipAdd(from_=0),
+        Conv(1, 2, 3, bias=False),
+    ),
+    name="plain",
+)
+
+
 class TestBankGradients:
-    """``ad.bank_down`` / ``ad.bank_up`` inside whole DWT networks."""
+    """``ad.bank_down`` / ``ad.bank_up`` inside whole resampling networks."""
 
     @staticmethod
     def pairs(spec, params, net=None):
         """``evaluate``'s weight pairs: the next parameters for each Conv
-        and, given ``net``, the filter stack it binds to each DWT layer."""
+        and, given ``net``, the filter stack it binds to each Resample layer."""
         it = iter(params)
         out = []
         for idx, layer in enumerate(spec.layers):
             if isinstance(layer, Conv):
                 out.append((next(it), next(it) if layer.bias else None))
-            elif net is not None and isinstance(layer, Resample) and layer.kind != "plain":
+            elif net is not None and isinstance(layer, Resample):
                 out.append((net.kernel_at(idx), None))
         return out
 
-    @pytest.mark.parametrize("spec", [build_lwfsn(4), build_unet(2, 4)], ids=lambda s: s.name)
+    @pytest.mark.parametrize(
+        "spec", [build_lwfsn(4), build_unet(2, 4), PLAIN_SPEC], ids=lambda s: s.name
+    )
     def test_gradients_and_bitwise_run(self, spec):
         rng = np.random.default_rng(12)
         values = []

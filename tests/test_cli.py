@@ -192,11 +192,28 @@ class TestAnalyzeAndFlops:
         assert result.stdout.strip() == "10116661248"
 
     def test_schema_violation_exit_3(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"layers": [{"type": "conv", "out_ch": 2}]}))
-        result = run_cli(["analyze-pr", str(bad)], cwd=tmp_path)
-        assert result.returncode == 3
-        assert "layer 0" in result.stderr
+        enc = {"type": "conv", "out_ch": 2, "in_ch": 1}
+        dec = {"type": "conv", "out_ch": 1, "in_ch": 2}
+        relu = {"type": "activation", "activation": {"kind": "relu_bias", "t": 0.0}}
+        down = {"type": "resample", "direction": "down", "kind": "dwt_low"}
+        up = {"type": "resample", "direction": "up", "kind": "dwt_low"}
+        half_resolution = [enc, relu, down, dec]
+        factor_four = [enc, dict(down, kind="plain", s=4), dict(up, kind="plain", s=4), dec]
+        cases = [  # (spec, what stderr names)
+            ({"layers": [{"type": "conv", "out_ch": 2}]}, "layer 0"),
+            ({"layers": [enc, down, {"type": "skip_add", "from": 0}, up, dec]}, "layer 2"),
+            ({"layers": half_resolution}, "level 1"),
+            ({"layers": half_resolution, "residual": True}, "level 1"),
+            ({"layers": factor_four}, "factor"),
+        ]
+        for i, (payload, named) in enumerate(cases):
+            bad = tmp_path / f"bad{i}.json"
+            bad.write_text(json.dumps(payload))
+            for command in (["analyze-pr"], ["flops", "--rows", "16", "--cols", "16"]):
+                result = run_cli(command + [str(bad)], cwd=tmp_path)
+                assert result.returncode == 3, (payload, command, result.stderr)
+                assert named in result.stderr
+                assert "Traceback" not in result.stderr
 
     def test_skip_concat_is_not_a_layer_type(self, tmp_path):
         from fdl.errors import ConfigError
@@ -356,7 +373,10 @@ class TestExperimentCommand:
     def test_invalid_name_lists_choices(self, tmp_path):
         result = run_cli(["experiment", "nope"], cwd=tmp_path)
         assert result.returncode == 3
-        assert "tight-frame" in result.stderr
+        assert "Traceback" not in result.stderr
+        for name in ("tight-frame", "bias-zero", "generalization"):
+            assert name in result.stderr
+        assert not (tmp_path / "runs").exists()
 
     def test_generalization_csv_shape(self, tmp_path):
         result = run_cli(

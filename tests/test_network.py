@@ -49,10 +49,12 @@ RELU = Activation(ActivationSpec("relu_bias", t=0.0))
 
 class TestSpecValidation:
     def test_channel_walk(self):
-        spec = build_unet(8, 16)
-        channels = validate_spec(spec)
-        assert channels[0] == 8  # encoder output
-        assert channels[-1] == 1  # merged heads
+        # (channels, level) per layer: the pooled path runs at level 1
+        assert validate_spec(build_unet(8, 16)) == [
+            (8, 0), (8, 0), (1, 0),
+            (8, 1), (16, 1), (16, 1), (8, 1), (8, 1),
+            (8, 0), (1, 0), (1, 0),
+        ]
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ConfigError):
@@ -63,8 +65,9 @@ class TestSpecValidation:
             NetworkSpec(layers=(Conv(2, 1, 3), SkipAdd(from_=5)))
 
     def test_dwt_resample_needs_factor_two(self):
-        with pytest.raises(ConfigError):
-            NetworkSpec(layers=(Conv(2, 1, 3), Resample("down", "dwt_low", s=4)))
+        down = {"type": "resample", "direction": "down", "kind": "dwt_low", "s": 4}
+        with pytest.raises(ConfigError, match="layer 1: resampling factor must be 2"):
+            spec_from_json({"layers": [{"type": "conv", "out_ch": 2, "in_ch": 1}, down]})
 
     def test_json_round_trip(self):
         for spec in (build_unet(8, 16), build_red(4, 8), build_lwfsn(8), build_rlwfsn(8)):
@@ -160,10 +163,28 @@ class TestRuntime:
             input_channels=2,
             name="dwt_full",
         )
-        assert validate_spec(spec) == [8, 2]
+        assert validate_spec(spec) == [(8, 1), (2, 0)]
         assert spec_from_json(spec_to_json(spec)) == spec
         y = np.random.default_rng(3).normal(size=(2, 1, 16, 16))
         np.testing.assert_allclose(Network(spec, []).run(y), y, rtol=0, atol=1e-12)
+
+    def test_plain_resampling_matches_tensor_oracles(self):
+        # plain layers bind the one-band unit filter: phase-0 decimation and
+        # zero insertion, bit for bit
+        rng = np.random.default_rng(4)
+        k = rng.normal(size=(1, 1, 3, 3))
+        spec = NetworkSpec(
+            layers=(Resample("down", "plain"), Conv(1, 1, 3, bias=False), Resample("up", "plain"))
+        )
+        net = Network(spec, [(k, None)])
+        for shape in ((1, 1, 8, 8), (1, 3, 6, 10), (1, 2, 12, 4)):
+            x = rng.normal(size=shape)
+            want = tensor.upsample(tensor.conv2d(k, tensor.downsample(x, 2)), 2)
+            assert net.run(x).tobytes() == want.tobytes()
+            x = rng.normal(size=(3,) + shape[1:])
+            down = tensor.bank_down(net.kernel_at(0), x)
+            assert down.tobytes() == tensor.downsample(x, 2).tobytes()
+            assert tensor.bank_up(net.kernel_at(2), x).tobytes() == tensor.upsample(x, 2).tobytes()
 
     def test_shape_preservation_all_builders(self):
         for spec in (build_unet(4, 8), build_red(4, 8), build_lwfsn(4), build_rlwfsn(4), build_toy_spec()):
