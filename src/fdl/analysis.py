@@ -110,12 +110,7 @@ def _strip_residual(spec: NetworkSpec) -> NetworkSpec:
         else:
             layer = replace(layer, source=source)
         rebuilt.append(layer)
-    return NetworkSpec(
-        layers=tuple(rebuilt),
-        residual=False,
-        input_channels=spec.input_channels,
-        name=spec.name,
-    )
+    return replace(spec, layers=tuple(rebuilt), residual=False)
 
 
 # ---------------------------------------------------------------------------
@@ -192,27 +187,19 @@ def ideal_instantiation(spec: NetworkSpec) -> Network:
                 signs = (1.0, -1.0) if modes[idx] == "pct" else (1.0,)
                 banks[idx] = signed_impulse_bank(layer.in_ch, signs, layer.out_ch, layer.n_f)
                 weights.append((banks[idx], None))
-            elif idx in pairs:
+            else:  # a decoder: _pair_convs pairs every contracting conv
                 enc_layer = spec.layers[pairs[idx]]
                 if enc_layer.n_f != layer.n_f:
                     raise ConfigError(
                         f"layer {idx}: paired convs must share filter size"
                     )
                 weights.append((tensor_transpose(banks[pairs[idx]]), None))
-            else:  # pragma: no cover - _pair_convs guarantees coverage
-                raise ConfigError(f"layer {idx}: unpaired conv")
             layers.append(layer)
         elif isinstance(layer, Activation):
             layers.append(replace(layer, spec=_neutral_activation(layer.spec)))
         else:
             layers.append(layer)
-    stripped = NetworkSpec(
-        layers=tuple(layers),
-        residual=False,
-        input_channels=spec.input_channels,
-        name=spec.name,
-    )
-    return Network(stripped, weights)
+    return Network(replace(spec, layers=tuple(layers), residual=False), weights)
 
 
 def _checkerboard(n):
@@ -284,6 +271,7 @@ def equivalent_filter(net: Network, grid=None, pct_tol=0.05) -> np.ndarray:
     if spec.residual:
         raise ConfigError("equivalent filter: remove the residual wrapper first")
     items = []  # ("conv", kernel) | ("scale", factor)
+    weights = iter(net.weights)
     for idx, layer in enumerate(spec.layers):
         if _main_input(idx, layer) != idx - 1:
             raise ConfigError("equivalent filter: only chain topologies are supported")
@@ -293,10 +281,10 @@ def equivalent_filter(net: Network, grid=None, pct_tol=0.05) -> np.ndarray:
                 "network shift-variant or non-collapsible"
             )
         if isinstance(layer, Conv):
-            bias = net.bias_at(idx)
+            kernel, bias = next(weights)
             if bias is not None and np.any(bias != 0.0):
                 raise ConfigError(f"equivalent filter: layer {idx} has a nonzero bias")
-            items.append(("conv", net.kernel_at(idx)))
+            items.append(("conv", kernel))
         elif isinstance(layer, Activation):
             items.append(("act", layer.spec))
 

@@ -176,13 +176,24 @@ def _listdir_rel(run_dir):
     return out
 
 
+def _read_json(path):
+    """Parsed JSON file; an unreadable or unparseable file is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise _IoError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # malformed JSON or not UTF-8
+        raise _IoError(f"cannot parse {path}: {exc}") from exc
+
+
 def _resolve_spec(ref):
     import importlib.resources as resources
 
-    from fdl.network import load_spec, spec_from_json
+    from fdl.network import spec_from_json
 
     if os.path.exists(ref):
-        return load_spec(ref)
+        return spec_from_json(_read_json(ref))
     candidate = resources.files("fdl") / "specs" / f"{ref}.json"
     if candidate.is_file():
         return spec_from_json(json.loads(candidate.read_text(encoding="utf-8")))
@@ -190,18 +201,15 @@ def _resolve_spec(ref):
 
 
 def _read_input_image(path):
+    from fdl.errors import FdlError
     from fdl.pnm import read_image
 
     try:
         return read_image(path)
     except OSError as exc:
         raise _IoError(f"cannot read {path}: {exc}") from exc
-    except Exception as exc:
-        from fdl.errors import FdlError
-
-        if isinstance(exc, FdlError):
-            raise _IoError(f"cannot parse {path}: {exc}") from exc
-        raise
+    except FdlError as exc:
+        raise _IoError(f"cannot parse {path}: {exc}") from exc
 
 
 def _cmd_denoise(args, argv):
@@ -323,17 +331,10 @@ def _cmd_train(args, argv):
     from fdl.training import TrainConfig, build_toy, save_checkpoint, train
 
     started = time.time()
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise _IoError(f"cannot read {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _IoError(f"cannot parse {args.config}: {exc}") from exc
     env_seed = _env_seed()
+    cfg = TrainConfig.from_json(_read_json(args.config))
     if env_seed is not None:
-        payload["seed"] = env_seed
-    cfg = TrainConfig.from_json(payload)
+        cfg = dataclasses.replace(cfg, seed=env_seed)
     model = build_toy(seed=cfg.seed, init_mode=cfg.init_mode, bias_mode=cfg.bias_mode)
     history = train(model, cfg)
     run_dir = args.out or os.path.join("runs", f"train-seed{cfg.seed}")
@@ -385,10 +386,7 @@ def main(argv=None) -> int:
     except CommandLineError as exc:
         print(f"fdl: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _IoError as exc:
-        print(f"fdl: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except FileNotFoundError as exc:
+    except (_IoError, FileNotFoundError) as exc:
         print(f"fdl: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:  # map package errors without importing them eagerly

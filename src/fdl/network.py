@@ -11,15 +11,16 @@ resolution by a factor of 2; :func:`validate_spec` tracks the channel
 count and resolution level of each layer output, so a skip joins like
 with like and the graph returns to the input's channels and resolution.
 
-Specs carry no weights.  :func:`evaluate` is the one interpreter of a
-spec: it walks the layers once over any op set, plain arrays
-(:data:`NUMPY_OPS`) or differentiable nodes (:mod:`fdl.autodiff`).
-:class:`Network` binds concrete kernels and biases to a spec and evaluates
-it on images with the tensor runtime; every resampling layer is bound
-automatically to its fixed filter stack (a Haar bank, or the one-band
-unit filter for ``plain``) and runs polyphase
+Specs carry no learned weights, but they fix every resampling filter:
+each resampling kind names a filter stack (a Haar bank, or the one-band
+unit filter for ``plain``) that runs polyphase
 (:func:`fdl.tensor.bank_down` / :func:`fdl.tensor.bank_up`), one small
-stack applied to every channel.
+stack applied to every channel.  :func:`evaluate` is the one interpreter
+of a spec: it walks the layers once over any op set, plain arrays
+(:data:`NUMPY_OPS`) or differentiable nodes (:mod:`fdl.autodiff`), and
+binds the resampling filters itself, so a caller supplies conv kernels
+and biases only.  :class:`Network` binds concrete conv weights to a spec
+and evaluates it on images with the tensor runtime.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ TOY_WIDTHS = (6, 12, 24)
 
 def _resample_filters():
     """``(bands, 1, k, k)`` filter stack of each resampling kind, read-only
-    because every network shares them: the analysis stack going down, the
+    because every evaluation shares them: the analysis stack going down, the
     synthesis stack going up.  ``plain`` is the one-band unit filter (keep
     phase 0 / insert zeros); the DWT kinds are Haar banks."""
     bank = haar_dwt()
@@ -339,14 +340,18 @@ def _act_to_json(spec: ActivationSpec) -> dict:
     return out
 
 
+def _object(payload, what) -> dict:
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(payload).__name__}")
+    return payload
+
+
 def _act_from_json(payload: dict) -> ActivationSpec:
-    kind = payload.get("kind")
+    kind = _object(payload, "activation").get("kind")
     if kind == "let":
         members = tuple((float(w), _act_from_json(m)) for w, m in payload.get("members", []))
         return ActivationSpec("let", members=members)
-    t = payload.get("t", 0.0)
-    t = float(t) if np.isscalar(t) else tuple(float(v) for v in t)
-    return ActivationSpec(kind, t=t, p=int(payload.get("p", 2)))
+    return ActivationSpec(kind, t=payload.get("t", 0.0), p=int(payload.get("p", 2)))
 
 
 def spec_to_json(spec: NetworkSpec) -> dict:
@@ -380,8 +385,11 @@ def spec_to_json(spec: NetworkSpec) -> dict:
 
 
 def spec_from_json(payload: dict) -> NetworkSpec:
+    entries = _object(payload, "spec").get("layers", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"spec layers must be a JSON list, got {type(entries).__name__}")
     layers = []
-    for idx, entry in enumerate(payload.get("layers", [])):
+    for idx, entry in enumerate(entries):
         if not isinstance(entry, dict) or "type" not in entry:
             raise ConfigError(f"layer {idx}: expected an object with a 'type' field")
         kind = entry["type"]
@@ -419,7 +427,7 @@ def spec_from_json(payload: dict) -> NetworkSpec:
                 )
             else:
                 raise ConfigError(f"unknown layer type {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"layer {idx}: {exc}") from exc
     try:
         return NetworkSpec(
@@ -430,7 +438,7 @@ def spec_from_json(payload: dict) -> NetworkSpec:
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -473,10 +481,10 @@ def evaluate(spec: NetworkSpec, conv_weights, x, ops):
       wrapper.
 
     ``conv_weights`` holds one ``(kernel, bias_or_None)`` pair per Conv
-    layer and per Resample layer in spec order; a Conv's pair is in
-    the form ``ops`` takes, and a resampling layer's kernel is its filter
-    stack, a plain array, with no bias.  Only the outputs that a later
-    layer names as ``source`` or ``from_`` are kept alive.
+    layer in spec order, in the form ``ops`` takes.  A resampling layer
+    applies its kind's fixed filter stack, a plain array.  Only the
+    outputs that a later layer names as ``source`` or ``from_`` are kept
+    alive.
     """
     named = {ref for layer in spec.layers for ref in (layer.source, getattr(layer, "from_", None))}
     kept = {-1: x}
@@ -494,7 +502,7 @@ def evaluate(spec: NetworkSpec, conv_weights, x, ops):
             out = ops.act(out, layer.spec)
         elif isinstance(layer, Resample):
             bank = ops.bank_down if layer.direction == "down" else ops.bank_up
-            out = bank(next(weights)[0], out)
+            out = bank(_RESAMPLE_FILTERS[layer.kind][layer.direction], out)
         else:  # SkipAdd
             out = ops.add(out, kept[layer.from_])
         if idx in named:
@@ -503,38 +511,32 @@ def evaluate(spec: NetworkSpec, conv_weights, x, ops):
 
 
 class Network:
-    """A spec bound to concrete weights, evaluated with the tensor runtime.
+    """A spec bound to concrete conv weights, evaluated with the tensor
+    runtime.
 
     ``conv_weights`` is one ``(kernel, bias_or_None)`` pair per Conv layer
-    in spec order; kernels must match the declared shapes.  Each
-    resampling layer is bound to its fixed filter stack.
+    in spec order; kernels must match the declared shapes.  The validated
+    pairs are kept, in the same order, as ``weights``.
     """
 
     def __init__(self, spec: NetworkSpec, conv_weights):
         self.spec = spec  # validated when it was constructed
-        conv_layers = [l for l in spec.layers if isinstance(l, Conv)]
-        if len(conv_weights) != len(conv_layers):
-            raise ConfigError(
-                f"expected {len(conv_layers)} weight pairs, got {len(conv_weights)}"
-            )
-        self._weights = {}  # layer index -> (kernel, bias_or_None), in spec order
-        weight_iter = iter(conv_weights)
-        for idx, layer in enumerate(spec.layers):
-            if isinstance(layer, Conv):
-                kernel, bias = next(weight_iter)
-                kernel = as_tensor4(kernel, f"layer {idx} kernel")
-                want = (layer.out_ch, layer.in_ch, layer.n_f, layer.n_f)
-                if kernel.shape != want:
-                    raise ShapeError(f"layer {idx}: kernel shape {kernel.shape}, expected {want}")
-                if layer.bias:
-                    bias = np.zeros(layer.out_ch) if bias is None else np.asarray(bias, float)
-                    if bias.shape != (layer.out_ch,):
-                        raise ShapeError(f"layer {idx}: bias shape {bias.shape}")
-                else:
-                    bias = None
-                self._weights[idx] = (kernel, bias)
-            elif isinstance(layer, Resample):
-                self._weights[idx] = (_RESAMPLE_FILTERS[layer.kind][layer.direction], None)
+        convs = [(idx, layer) for idx, layer in enumerate(spec.layers) if isinstance(layer, Conv)]
+        if len(conv_weights) != len(convs):
+            raise ConfigError(f"expected {len(convs)} weight pairs, got {len(conv_weights)}")
+        self.weights = []  # (kernel, bias_or_None) per Conv layer, in spec order
+        for (idx, layer), (kernel, bias) in zip(convs, conv_weights):
+            kernel = as_tensor4(kernel, f"layer {idx} kernel")
+            want = (layer.out_ch, layer.in_ch, layer.n_f, layer.n_f)
+            if kernel.shape != want:
+                raise ShapeError(f"layer {idx}: kernel shape {kernel.shape}, expected {want}")
+            if layer.bias:
+                bias = np.zeros(layer.out_ch) if bias is None else np.asarray(bias, float)
+                if bias.shape != (layer.out_ch,):
+                    raise ShapeError(f"layer {idx}: bias shape {bias.shape}")
+            else:
+                bias = None
+            self.weights.append((kernel, bias))
 
     def run(self, image) -> np.ndarray:
         """Evaluate the network on an image (or multi-channel tensor)."""
@@ -543,13 +545,4 @@ class Network:
             raise ShapeError(
                 f"input has {x_in.shape[0]} channels, spec wants {self.spec.input_channels}"
             )
-        return evaluate(self.spec, self._weights.values(), x_in, NUMPY_OPS)
-
-    def kernel_at(self, idx):
-        """Kernel bound to layer ``idx``: a Conv layer's kernel, or a
-        resampling layer's ``(bands, 1, k, k)`` filter stack (read-only),
-        which the layer applies to each channel separately."""
-        return self._weights[idx][0]
-
-    def bias_at(self, idx):
-        return self._weights[idx][1]
+        return evaluate(self.spec, self.weights, x_in, NUMPY_OPS)

@@ -67,16 +67,18 @@ def _read_pgm(data: bytes) -> np.ndarray:
         width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
     except (StopIteration, ValueError) as exc:
         raise ConfigError("malformed PGM header") from exc
-    if maxval < 1 or width < 1 or height < 1:
+    if not 1 <= maxval <= 65535 or width < 1 or height < 1:
         raise ConfigError("malformed PGM header")
     if magic == b"P2":
-        values = []
-        for tok, _ in _tokens(data[end:]):
-            values.append(int(tok))
-        pixels = np.array(values, dtype=float)
+        try:
+            pixels = np.array([int(tok) for tok, _ in _tokens(data[end:])], dtype=float)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"malformed PGM sample: {exc}") from exc
     elif magic == b"P5":
         payload = data[end + 1 :]  # single whitespace byte after maxval
-        dtype = ">u2" if maxval > 255 else np.uint8
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        if len(payload) < width * height * dtype.itemsize:
+            raise ConfigError("PGM pixel data truncated")
         pixels = np.frombuffer(payload, dtype=dtype, count=width * height).astype(float)
     else:
         raise ConfigError(f"unsupported Netpbm type {magic!r} (only P2/P5 grayscale)")

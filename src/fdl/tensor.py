@@ -9,8 +9,7 @@ output channels and the columns input channels; each ``[r, c]`` entry is a
 Convolution is circular (periodic boundary) so that perfect-reconstruction
 identities hold exactly instead of approximately near the borders.  Kernels
 are centered: a filter of odd size ``k`` covers offsets ``-k//2 .. k//2``
-around each output pixel.  Down-sampling keeps phase 0 (sample indices that
-are multiples of the factor); up-sampling inserts zeros.
+around each output pixel.
 
 Convolutions are matrix products over a shift stack (im2col) of their
 narrower side.  An expanding or equal conv (in <= out channels) stacks its
@@ -21,8 +20,11 @@ backward stacks the upstream gradient once, for both gradients.  The
 method follows from the kernel's shape alone.
 
 A decimated filter bank (the DWT's analysis and synthesis) applies one
-small ``(bands, 1, k, k)`` filter stack to every channel separately.  It
-is computed polyphase: :func:`bank_down` evaluates each output sample
+small ``(bands, 1, k, k)`` filter stack to every channel separately, with
+a resolution change by 2.  Decimation keeps phase 0 (even sample indices
+on both spatial axes); up-sampling inserts a zero after each sample.  The
+one-band unit filter gives plain decimation and zero insertion.  Banks
+are computed polyphase: :func:`bank_down` evaluates each output sample
 only where decimation keeps it, and :func:`bank_up` only from the samples
 that up-sampling does not zero, in both cases from the bank's nonzero
 taps alone.
@@ -41,14 +43,11 @@ __all__ = [
     "as_tensor4",
     "as_image",
     "signed_impulse_bank",
-    "identity_kernel",
     "impulse_image",
     "identity_image",
     "conv2d",
     "conv2d_adjoint",
     "tensor_transpose",
-    "downsample",
-    "upsample",
     "bank_down",
     "bank_up",
     "dft_magnitude",
@@ -104,11 +103,6 @@ def signed_impulse_bank(channels, signs, out_ch=None, size=1) -> np.ndarray:
         for i, sign in enumerate(signs):
             k[n * c + i, c, size // 2, size // 2] = sign
     return k
-
-
-def identity_kernel(channels=1, size=1) -> np.ndarray:
-    """Kernel that maps every channel to itself: a centered unit impulse."""
-    return signed_impulse_bank(channels, (1.0,), size=size)
 
 
 def impulse_image(n_r, n_c=None) -> np.ndarray:
@@ -316,35 +310,6 @@ def tensor_transpose(t) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(t, 0, 1))
 
 
-def downsample(signal, s) -> np.ndarray:
-    """Keep samples at indices that are multiples of ``s`` on both spatial
-    axes.  Spatial dims must be divisible by ``s``."""
-    signal = as_tensor4(signal, "signal")
-    s = int(s)
-    if s < 1:
-        raise ConfigError(f"down-sampling factor must be >= 1, got {s}")
-    if s == 1:
-        return signal.copy()
-    h, w = signal.shape[2], signal.shape[3]
-    if h % s or w % s:
-        raise ShapeError(f"spatial dims {h}x{w} not divisible by factor {s}")
-    return signal[:, :, ::s, ::s].copy()
-
-
-def upsample(signal, s) -> np.ndarray:
-    """Insert ``s - 1`` zeros after each sample on both spatial axes."""
-    signal = as_tensor4(signal, "signal")
-    s = int(s)
-    if s < 1:
-        raise ConfigError(f"up-sampling factor must be >= 1, got {s}")
-    if s == 1:
-        return signal.copy()
-    r, c, h, w = signal.shape
-    out = np.zeros((r, c, h * s, w * s))
-    out[:, :, ::s, ::s] = signal
-    return out
-
-
 def _bank_taps(filters):
     """Nonzero taps of a ``(bands, 1, kv, kh)`` filter stack: their
     ``(du, dv)`` offsets and their ``(bands, taps)`` weights, contiguous
@@ -379,9 +344,9 @@ def bank_down(filters, x) -> np.ndarray:
     """Apply a ``(bands, 1, k, k)`` filter stack to every channel of ``x``
     and decimate by 2.
 
-    Equals ``downsample(conv2d(B, x), 2)`` for the block-diagonal bank
-    ``B`` of shape ``(C * bands, C, k, k)`` whose rows hold the bands of
-    each input channel in turn.  Output ``(p, q)`` of tap ``(du, dv)``
+    Equals the phase-0 samples of ``conv2d(B, x)`` for the block-diagonal
+    bank ``B`` of shape ``(C * bands, C, k, k)`` whose rows hold the bands
+    of each input channel in turn.  Output ``(p, q)`` of tap ``(du, dv)``
     reads ``x[2p - du, 2q - dv]``: one polyphase component of ``x``,
     circularly shifted.  Those components, one per nonzero tap, are
     stacked and mixed into the bands by one small matrix product.
@@ -404,9 +369,9 @@ def bank_up(filters, x) -> np.ndarray:
     synthesis that :func:`bank_down` with the 180-degree rotated filters
     is the adjoint of.
 
-    Equals ``conv2d(tensor_transpose(B), upsample(x, 2))`` for the
-    block-diagonal bank ``B`` of ``(C, bands)`` blocks, where ``x`` holds
-    ``C * bands`` channels.  Tap ``(du, dv)`` writes only the output phase
+    Equals ``conv2d(tensor_transpose(B), u)`` for the block-diagonal bank
+    ``B`` of ``(C, bands)`` blocks, where ``x`` holds ``C * bands``
+    channels and ``u`` is ``x`` with a zero inserted after each sample.  Tap ``(du, dv)`` writes only the output phase
     ``(du % 2, dv % 2)``, from the bands mixed by that tap's weights and
     circularly shifted.
     """

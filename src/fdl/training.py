@@ -77,11 +77,18 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, payload: dict) -> "TrainConfig":
+        if not isinstance(payload, dict):
+            raise ConfigError("training config is not a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(payload) - known
         if unknown:
             raise ConfigError(f"unknown training config fields: {sorted(unknown)}")
-        return cls(**payload)
+        try:
+            return cls(**payload)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:  # a field of the wrong type
+            raise ConfigError(f"training config has a malformed field: {exc}") from exc
 
 
 class ToyModel:

@@ -331,17 +331,12 @@ class TestBankGradients:
     """``ad.bank_down`` / ``ad.bank_up`` inside whole resampling networks."""
 
     @staticmethod
-    def pairs(spec, params, net=None):
-        """``evaluate``'s weight pairs: the next parameters for each Conv
-        and, given ``net``, the filter stack it binds to each Resample layer."""
+    def pairs(spec, params):
+        """``evaluate``'s weight pairs: the next parameters for each Conv;
+        the resampling filters come from the spec."""
         it = iter(params)
-        out = []
-        for idx, layer in enumerate(spec.layers):
-            if isinstance(layer, Conv):
-                out.append((next(it), next(it) if layer.bias else None))
-            elif net is not None and isinstance(layer, Resample):
-                out.append((net.kernel_at(idx), None))
-        return out
+        convs = [layer for layer in spec.layers if isinstance(layer, Conv)]
+        return [(next(it), next(it) if layer.bias else None) for layer in convs]
 
     @pytest.mark.parametrize(
         "spec", [build_lwfsn(4), build_unet(2, 4), PLAIN_SPEC], ids=lambda s: s.name
@@ -358,12 +353,12 @@ class TestBankGradients:
         x = rng.normal(size=(1, 1, 8, 8))
         target = ad.constant(rng.normal(size=(1, 1, 8, 8)))
         check_gradients(
-            lambda ps: ad.mse(evaluate(spec, self.pairs(spec, ps, net), ad.constant(x), ad), target),
+            lambda ps: ad.mse(evaluate(spec, self.pairs(spec, ps), ad.constant(x), ad), target),
             values,
             rng,
         )
         params = [ad.Parameter(v) for v in values]
-        out = evaluate(spec, self.pairs(spec, params, net), ad.constant(x), ad)
+        out = evaluate(spec, self.pairs(spec, params), ad.constant(x), ad)
         assert out.value.tobytes() == net.run(x).tobytes()
 
     @pytest.mark.parametrize("direction", ["down", "up"])

@@ -151,6 +151,23 @@ class TestDenoiseCommand:
         result = run_cli(["denoise", "noisy.pgm", "--threshold", "nope"], cwd=workdir)
         assert result.returncode == 3
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"P5\n4 4\n255\n" + bytes(7),  # truncated payload
+            b"P5\n400 400\n65535\n" + bytes(32),  # header claims more pixels
+            b"P2\n2 2\n255\n0 1\n2 x\n",  # non-integer sample
+            b"P2\n1 1\n255\n" + b"9" * 400 + b"\n",  # sample beyond float range
+        ],
+        ids=["truncated", "short-header-claim", "p2-token", "p2-overflow"],
+    )
+    def test_malformed_pgm_exit_2(self, workdir, data):
+        (workdir / "bad.pgm").write_bytes(data)
+        result = run_cli(["denoise", "bad.pgm"], cwd=workdir)
+        assert result.returncode == 2, result.stderr
+        assert "cannot parse bad.pgm" in result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestAnalyzeAndFlops:
     def test_bundled_lwfsn_is_perfect(self, tmp_path):
@@ -199,7 +216,10 @@ class TestAnalyzeAndFlops:
         up = {"type": "resample", "direction": "up", "kind": "dwt_low"}
         half_resolution = [enc, relu, down, dec]
         factor_four = [enc, dict(down, kind="plain", s=4), dict(up, kind="plain", s=4), dec]
+        bad_let = {"kind": "let", "members": [[1.0, 5]]}
         cases = [  # (spec, what stderr names)
+            ([enc, relu, dec], "spec must be a JSON object"),
+            ({"layers": [enc, {"type": "activation", "activation": bad_let}, dec]}, "layer 1"),
             ({"layers": [{"type": "conv", "out_ch": 2}]}, "layer 0"),
             ({"layers": [enc, down, {"type": "skip_add", "from": 0}, up, dec]}, "layer 2"),
             ({"layers": half_resolution}, "level 1"),
@@ -236,6 +256,14 @@ class TestAnalyzeAndFlops:
         result = run_cli(["analyze-pr", "absent"], cwd=tmp_path)
         assert result.returncode == 2
 
+    def test_unparseable_spec_exit_2(self, tmp_path):
+        (tmp_path / "bad.json").write_text('{"layers": [')
+        for command in (["analyze-pr"], ["flops", "--rows", "16", "--cols", "16"]):
+            result = run_cli(command + ["bad.json"], cwd=tmp_path)
+            assert result.returncode == 2, result.stderr
+            assert "cannot parse bad.json" in result.stderr
+            assert "Traceback" not in result.stderr
+
 
 TINY_TRAIN = {
     "epochs": 1,
@@ -268,6 +296,15 @@ class TestTrainCommand:
         assert result.returncode == 0, result.stderr
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["seed"] == 11
+
+    @pytest.mark.parametrize("field, value", [("epochs", "abc"), ("image_size", 5)])
+    def test_wrongly_typed_config_exit_3(self, tmp_path, field, value):
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(TINY_TRAIN, **{field: value})))
+        result = run_cli(["train", "cfg.json", "--out", "run"], cwd=tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "training config has a malformed field" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "run").exists()
 
     def test_model_checkpoint_denoises(self, tmp_path):
         cfg = dict(TINY_TRAIN, epochs=4, images_per_epoch=16, seed=1, image_size=[32, 32])

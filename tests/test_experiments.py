@@ -235,6 +235,13 @@ class TestTraining:
         with pytest.raises(ConfigError):
             TrainConfig.from_json({"learning_rate": 1.0})
 
+    @pytest.mark.parametrize(
+        "payload", [[], {"epochs": "abc"}, {"lr_initial": None}, {"image_size": 5}]
+    )
+    def test_malformed_config_rejected(self, payload):
+        with pytest.raises(ConfigError):
+            TrainConfig.from_json(payload)
+
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):

@@ -23,7 +23,7 @@ from fdl.framelets import (
 )
 from fdl.metrics import estimate_sigma_mad, snr_db
 
-from oracles import band_decompose_reference
+from oracles import band_decompose_reference, downsample_reference, upsample_reference
 
 
 def checkerboard(n):
@@ -168,7 +168,7 @@ class TestCheckPhaseComplementary:
         assert not report.is_pct
 
     def test_delta_pair_gives_exact_identity(self):
-        delta = tensor.identity_kernel(1, 3)
+        delta = tensor.signed_impulse_bank(1, (1.0,), size=3)
         report = check_phase_complementary(delta, delta)
         assert report.is_pct
         n = report.response.shape[2]
@@ -217,8 +217,8 @@ class TestLowBranch:
     def low_branch(self, y):
         """Low-band pooling path: analyze, decimate, zero-insert, synthesize."""
         bank = haar_dwt()
-        pooled = tensor.downsample(tensor.conv2d(bank.w_low, y), 2)
-        return tensor.conv2d(tensor.tensor_transpose(bank.w_low_tilde), tensor.upsample(pooled, 2))
+        pooled = downsample_reference(tensor.conv2d(bank.w_low, y), 2)
+        return tensor.conv2d(tensor.tensor_transpose(bank.w_low_tilde), upsample_reference(pooled, 2))
 
     def test_constant_passes_with_unit_gain(self):
         y = np.full((1, 1, 8, 8), 0.37)

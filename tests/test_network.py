@@ -37,7 +37,7 @@ from fdl.network import (
     validate_spec,
 )
 
-from oracles import conv2d_reference
+from oracles import conv2d_reference, downsample_reference, upsample_reference
 
 
 def bundled(name):
@@ -169,8 +169,8 @@ class TestRuntime:
         np.testing.assert_allclose(Network(spec, []).run(y), y, rtol=0, atol=1e-12)
 
     def test_plain_resampling_matches_tensor_oracles(self):
-        # plain layers bind the one-band unit filter: phase-0 decimation and
-        # zero insertion, bit for bit
+        # plain layers apply the one-band unit filter: phase-0 decimation
+        # and zero insertion, bit for bit
         rng = np.random.default_rng(4)
         k = rng.normal(size=(1, 1, 3, 3))
         spec = NetworkSpec(
@@ -179,12 +179,12 @@ class TestRuntime:
         net = Network(spec, [(k, None)])
         for shape in ((1, 1, 8, 8), (1, 3, 6, 10), (1, 2, 12, 4)):
             x = rng.normal(size=shape)
-            want = tensor.upsample(tensor.conv2d(k, tensor.downsample(x, 2)), 2)
+            want = upsample_reference(tensor.conv2d(k, downsample_reference(x, 2)), 2)
             assert net.run(x).tobytes() == want.tobytes()
             x = rng.normal(size=(3,) + shape[1:])
-            down = tensor.bank_down(net.kernel_at(0), x)
-            assert down.tobytes() == tensor.downsample(x, 2).tobytes()
-            assert tensor.bank_up(net.kernel_at(2), x).tobytes() == tensor.upsample(x, 2).tobytes()
+            unit = np.ones((1, 1, 1, 1))
+            assert tensor.bank_down(unit, x).tobytes() == downsample_reference(x, 2).tobytes()
+            assert tensor.bank_up(unit, x).tobytes() == upsample_reference(x, 2).tobytes()
 
     def test_shape_preservation_all_builders(self):
         for spec in (build_unet(4, 8), build_red(4, 8), build_lwfsn(4), build_rlwfsn(4), build_toy_spec()):
@@ -239,7 +239,7 @@ class TestPrAnalyze:
 
 class TestEquivalentFilter:
     def test_delta_pair(self):
-        delta = tensor.identity_kernel(1, 3)
+        delta = tensor.signed_impulse_bank(1, (1.0,), size=3)
         spec = NetworkSpec(layers=(Conv(1, 1, 3, bias=False), Conv(1, 1, 3, bias=False)))
         net = Network(spec, [(delta, None), (delta, None)])
         k = equivalent_filter(net)
@@ -278,7 +278,7 @@ class TestEquivalentFilter:
             equivalent_filter(net)
 
     def test_refuses_nonzero_bias(self):
-        delta = tensor.identity_kernel(1, 3)
+        delta = tensor.signed_impulse_bank(1, (1.0,), size=3)
         spec = NetworkSpec(layers=(Conv(1, 1, 3, bias=True), Conv(1, 1, 3, bias=False)))
         net = Network(spec, [(delta, np.array([0.5])), (delta, None)])
         with pytest.raises(ConfigError, match="bias"):

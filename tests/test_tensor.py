@@ -22,7 +22,7 @@ class TestConv2d:
     def test_identity_kernel_preserves_image(self):
         rng = np.random.default_rng(0)
         img = rng.normal(size=(1, 1, 8, 8))
-        out = tensor.conv2d(tensor.identity_kernel(1, 3), img)
+        out = tensor.conv2d(tensor.signed_impulse_bank(1, (1.0,), size=3), img)
         np.testing.assert_array_equal(out, img)
 
     def test_box_kernel_on_constant(self):
@@ -130,43 +130,42 @@ class TestTranspose:
 
 
 class TestResampling:
+    """Plain decimation and zero insertion: the bank ops with the unit filter."""
+
+    UNIT = np.ones((1, 1, 1, 1))
+
     def test_downsample_row_example(self):
         row = np.arange(1.0, 11.0)
         sig = np.stack([row, row])[None, None]  # (1, 1, 2, 10)
-        out = tensor.downsample(sig, 2)
+        out = tensor.bank_down(self.UNIT, sig)
         np.testing.assert_array_equal(out[0, 0, 0], [1, 3, 5, 7, 9])
 
     def test_upsample_row_example(self):
         sig = np.array([[1.0, 3.0, 5.0, 7.0, 9.0]])[None, None]
-        out = tensor.upsample(sig, 2)
+        out = tensor.bank_up(self.UNIT, sig)
         np.testing.assert_array_equal(out[0, 0, 0], [1, 0, 3, 0, 5, 0, 7, 0, 9, 0])
         np.testing.assert_array_equal(out[0, 0, 1], np.zeros(10))
-
-    def test_factor_one_is_identity(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(2, 1, 6, 6))
-        np.testing.assert_array_equal(tensor.downsample(x, 1), x)
-        np.testing.assert_array_equal(tensor.upsample(x, 1), x)
 
     def test_down_of_up_is_identity(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(3, 1, 8, 8))
-        np.testing.assert_array_equal(tensor.downsample(tensor.upsample(x, 2), 2), x)
+        np.testing.assert_array_equal(tensor.bank_down(self.UNIT, tensor.bank_up(self.UNIT, x)), x)
 
     def test_up_of_down_is_not_identity(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(1, 1, 8, 8))
-        assert np.max(np.abs(tensor.upsample(tensor.downsample(x, 2), 2) - x)) > 1e-3
+        back = tensor.bank_up(self.UNIT, tensor.bank_down(self.UNIT, x))
+        assert np.max(np.abs(back - x)) > 1e-3
 
     def test_constant_image_downsamples_to_constant(self):
         x = np.full((1, 1, 8, 8), 0.4)
-        out = tensor.downsample(x, 2)
+        out = tensor.bank_down(self.UNIT, x)
         assert out.shape == (1, 1, 4, 4)
         np.testing.assert_allclose(out, 0.4)
 
     def test_non_divisible_raises(self):
         with pytest.raises(ShapeError):
-            tensor.downsample(np.zeros((1, 1, 5, 6)), 2)
+            tensor.bank_down(self.UNIT, np.zeros((1, 1, 5, 6)))
 
 
 class TestDftMagnitude:
