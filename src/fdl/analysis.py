@@ -2,12 +2,13 @@
 
 The reconstruction analyzer asks a purely structural question: does a
 network topology admit filters that pass every signal through unchanged?
-It instantiates each encoder/decoder conv pair with ideal filters (sign
-duplicated impulse pairs when a rectifier sits between them, plain
-impulses otherwise), zeroes all biases, neutralizes shrinkage and clipping
-thresholds, removes identity shortcuts, and then measures reconstruction
-on random signed probes plus the two frequency extremes (a constant image
-and a unit checkerboard).
+In one pass over the spec, :func:`ideal_instantiation` binds each
+encoder/decoder conv pair to ideal filters (sign duplicated impulse pairs
+when a rectifier sits between them, plain impulses otherwise) and no
+biases, neutralizes shrinkage and clipping thresholds, and drops identity
+shortcuts.  :func:`pr_analyze` then measures reconstruction on random
+signed probes plus the two frequency extremes (a constant image and a
+unit checkerboard).
 
 Operation counts follow the convention of counting multiply-accumulates
 of trainable convolutions only; fixed resampling filter banks are free.
@@ -66,54 +67,6 @@ class PRReport:
 
 
 # ---------------------------------------------------------------------------
-# Residual stripping
-# ---------------------------------------------------------------------------
-
-
-def _strip_residual(spec: NetworkSpec) -> NetworkSpec:
-    """Remove identity shortcuts (and a trailing rectifier glued to one).
-
-    Residual additions re-inject a block's input at its output; they would
-    let any network reconstruct trivially, so the analysis looks at the
-    encoder-decoder structure between them instead.
-    """
-    layers = list(spec.layers)
-    drop = set()
-    for idx, layer in enumerate(layers):
-        if isinstance(layer, SkipAdd) and layer.residual:
-            drop.add(idx)
-    last = len(layers) - 1
-    if last >= 1 and isinstance(layers[last], Activation) and (last - 1) in drop:
-        if _main_input(last, layers[last]) == last - 1:
-            drop.add(last)
-
-    redirect = {i: _main_input(i, layers[i]) for i in sorted(drop)}
-
-    def resolve(j):
-        while j in redirect:
-            j = redirect[j]
-        return j
-
-    kept = [i for i in range(len(layers)) if i not in drop]
-    position = {old: new for new, old in enumerate(kept)}
-
-    def remap(ref):
-        ref = resolve(ref)
-        return -1 if ref == -1 else position[ref]
-
-    rebuilt = []
-    for old in kept:
-        layer = layers[old]
-        source = remap(_main_input(old, layer))
-        if isinstance(layer, SkipAdd):
-            layer = replace(layer, from_=remap(layer.from_), source=source)
-        else:
-            layer = replace(layer, source=source)
-        rebuilt.append(layer)
-    return replace(spec, layers=tuple(rebuilt), residual=False)
-
-
-# ---------------------------------------------------------------------------
 # Ideal instantiation
 # ---------------------------------------------------------------------------
 
@@ -157,6 +110,8 @@ def _pair_convs(spec: NetworkSpec):
         mode = "pct" if saw_relu else "frame"
         if modes.get(enc, mode) != mode:
             raise ConfigError(f"layer {enc}: decoders disagree on rectified pairing")
+        if layers[enc].n_f != layer.n_f:
+            raise ConfigError(f"layer {idx}: paired convs must share filter size")
         pairs[idx] = enc
         modes[enc] = mode
     for idx, layer in enumerate(layers):
@@ -176,29 +131,42 @@ def _neutral_activation(spec: ActivationSpec) -> ActivationSpec:
 
 
 def ideal_instantiation(spec: NetworkSpec) -> Network:
-    """Bind ideal reconstruction filters and zero biases to a stripped spec."""
+    """Bind ideal reconstruction filters to ``spec`` without its identity
+    shortcuts.
+
+    Residual additions re-inject a block's input at its output; they would
+    let any network reconstruct trivially, so every residual skip (with a
+    rectifier glued to a final one) and the global wrapper are dropped, and
+    a reference to a dropped layer goes to that layer's main input.  Each
+    conv gets its impulse bank (a decoder the transpose of its encoder's)
+    and no bias; each activation is neutralized.
+    """
     pairs, modes = _pair_convs(spec)
-    layers = []
-    banks = {}
-    weights = []
+    last = len(spec.layers) - 1
+    new = {-1: -1}  # old layer index -> index of the layer that stands for it
+    dropped = set()
+    layers, banks, weights = [], {}, []
     for idx, layer in enumerate(spec.layers):
+        src = _main_input(idx, layer)
+        glued = idx == last and isinstance(layer, Activation) and src == idx - 1 and src in dropped
+        if glued or (isinstance(layer, SkipAdd) and layer.residual):
+            new[idx] = new[src]
+            dropped.add(idx)
+            continue
+        src, new[idx] = new[src], len(layers)
         if isinstance(layer, Conv):
             if idx in modes:
                 signs = (1.0, -1.0) if modes[idx] == "pct" else (1.0,)
                 banks[idx] = signed_impulse_bank(layer.in_ch, signs, layer.out_ch, layer.n_f)
                 weights.append((banks[idx], None))
             else:  # a decoder: _pair_convs pairs every contracting conv
-                enc_layer = spec.layers[pairs[idx]]
-                if enc_layer.n_f != layer.n_f:
-                    raise ConfigError(
-                        f"layer {idx}: paired convs must share filter size"
-                    )
                 weights.append((tensor_transpose(banks[pairs[idx]]), None))
-            layers.append(layer)
+            layer = replace(layer, bias=False)
         elif isinstance(layer, Activation):
-            layers.append(replace(layer, spec=_neutral_activation(layer.spec)))
-        else:
-            layers.append(layer)
+            layer = replace(layer, spec=_neutral_activation(layer.spec))
+        elif isinstance(layer, SkipAdd):
+            layer = replace(layer, from_=new[layer.from_])
+        layers.append(replace(layer, source=src))
     return Network(replace(spec, layers=tuple(layers), residual=False), weights)
 
 
@@ -215,7 +183,7 @@ def pr_analyze(spec: NetworkSpec, grid=16, n_probes=3, tol=1e-8, seed=0) -> PRRe
     (checkerboard probe).  The probes are the columns of one input, so the
     network runs once.
     """
-    net = ideal_instantiation(_strip_residual(spec))
+    net = ideal_instantiation(spec)
     rng = np.random.default_rng(seed)
     shape = (spec.input_channels, 1, grid, grid)
     probes = [rng.normal(size=shape) for _ in range(n_probes)]
@@ -270,7 +238,7 @@ def equivalent_filter(net: Network, grid=None, pct_tol=0.05) -> np.ndarray:
     spec = net.spec
     if spec.residual:
         raise ConfigError("equivalent filter: remove the residual wrapper first")
-    items = []  # ("conv", kernel) | ("scale", factor)
+    items = []  # ("conv", kernel) | ("act", spec)
     weights = iter(net.weights)
     for idx, layer in enumerate(spec.layers):
         if _main_input(idx, layer) != idx - 1:
@@ -288,46 +256,40 @@ def equivalent_filter(net: Network, grid=None, pct_tol=0.05) -> np.ndarray:
         elif isinstance(layer, Activation):
             items.append(("act", layer.spec))
 
-    # eliminate activations
-    changed = True
-    while changed:
-        changed = False
-        for i, (kind, payload) in enumerate(items):
-            if kind != "act":
-                continue
-            if _is_identity_activation(payload):
-                del items[i]
-                changed = True
-                break
-            if payload.kind == "relu_bias" and (
-                np.isscalar(payload.t) and payload.t == 0.0
-            ):
-                if 0 < i < len(items) - 1 and items[i - 1][0] == "conv" and items[i + 1][0] == "conv":
-                    k_enc = items[i - 1][1]
-                    k_dec = items[i + 1][1]
-                    try:
-                        report = check_phase_complementary(
-                            k_enc, tensor_transpose(k_dec), tol=pct_tol
-                        )
-                    except (ShapeError, ConfigError):
-                        report = None
-                    if report is not None and report.is_pct:
-                        items[i - 1 : i + 2] = [("scale", report.c_estimate)]
-                        changed = True
-                        break
-            raise ConfigError(
-                f"equivalent filter: activation {payload.kind!r} is not provably "
-                "an identity here (no phase-complementary pair around it)"
-            )
+    # eliminate activations left to right: a rectifier takes the next item
+    reduced = []  # ("conv", kernel) | ("scale", factor)
+    rest = iter(items)
+    for kind, payload in rest:
+        if kind == "conv":
+            reduced.append((kind, payload))
+            continue
+        if _is_identity_activation(payload):
+            continue
+        if payload.kind == "relu_bias" and np.isscalar(payload.t) and payload.t == 0.0:
+            nxt = next(rest, None)
+            if reduced and reduced[-1][0] == "conv" and nxt is not None and nxt[0] == "conv":
+                try:
+                    report = check_phase_complementary(
+                        reduced[-1][1], tensor_transpose(nxt[1]), tol=pct_tol
+                    )
+                except (ShapeError, ConfigError):
+                    report = None
+                if report is not None and report.is_pct:
+                    reduced[-1] = ("scale", report.c_estimate)
+                    continue
+        raise ConfigError(
+            f"equivalent filter: activation {payload.kind!r} is not provably "
+            "an identity here (no phase-complementary pair around it)"
+        )
 
     if grid is None:
         reach = 1 + sum(
-            max(k.shape[2], k.shape[3]) // 2 for kind, k in items if kind == "conv"
+            max(k.shape[2], k.shape[3]) // 2 for kind, k in reduced if kind == "conv"
         )
         grid = 2 * reach + 2
         grid += grid % 2
     flow = identity_image(spec.input_channels, grid)
-    for kind, payload in items:
+    for kind, payload in reduced:
         if kind == "conv":
             flow = conv2d(payload, flow)
         else:

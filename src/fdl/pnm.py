@@ -84,6 +84,8 @@ def _read_pgm(data: bytes) -> np.ndarray:
         raise ConfigError(f"unsupported Netpbm type {magic!r} (only P2/P5 grayscale)")
     if pixels.size != width * height:
         raise ConfigError("PGM pixel data truncated")
+    if pixels.min() < 0 or pixels.max() > maxval:
+        raise ConfigError(f"PGM sample outside [0, {maxval}]")
     return (pixels / maxval).reshape(height, width)[None, None]
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -40,6 +41,13 @@ __all__ = [
 
 INIT_MODES = ("independent", "shared_enc_dec", "pct_delta")
 BIAS_MODES = ("learned", "zero_fixed")
+# Kind of each numeric config field; a pair field holds two values of its kind.
+_FIELD_KINDS = {
+    "epochs": Integral, "images_per_epoch": Integral, "batch_size": Integral, "seed": Integral,
+    "n_validation": Integral, "lr_initial": Real, "sigma_train": Real,
+    "image_size": Integral, "triangles_per_image": Integral, "intensity_range": Real,
+}
+_PAIR_FIELDS = ("image_size", "triangles_per_image", "intensity_range")
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,19 @@ class TrainConfig:
     n_validation: int = 8
 
     def __post_init__(self):
+        for name, kind in _FIELD_KINDS.items():
+            value, pair = getattr(self, name), name in _PAIR_FIELDS
+            values = tuple(value) if pair and isinstance(value, (list, tuple)) else (value,)
+            if len(values) != (2 if pair else 1) or not all(
+                isinstance(v, kind) and not isinstance(v, bool) for v in values
+            ):
+                count = "two" if pair else "one"
+                raise ConfigError(
+                    f"training config has a malformed field: {name} needs {count} "
+                    f"{kind.__name__.lower()} value{'s' if pair else ''}, got {value!r}"
+                )
+            if pair:
+                object.__setattr__(self, name, values)
         if self.epochs < 0 or self.images_per_epoch < 1 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch/epoch sizes >= 1")
         if self.lr_initial <= 0:
@@ -68,9 +89,6 @@ class TrainConfig:
             raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
         if self.bias_mode not in BIAS_MODES:
             raise ConfigError(f"bias_mode must be one of {BIAS_MODES}, got {self.bias_mode!r}")
-        object.__setattr__(self, "image_size", tuple(self.image_size))
-        object.__setattr__(self, "triangles_per_image", tuple(self.triangles_per_image))
-        object.__setattr__(self, "intensity_range", tuple(self.intensity_range))
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -83,12 +101,7 @@ class TrainConfig:
         unknown = set(payload) - known
         if unknown:
             raise ConfigError(f"unknown training config fields: {sorted(unknown)}")
-        try:
-            return cls(**payload)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:  # a field of the wrong type
-            raise ConfigError(f"training config has a malformed field: {exc}") from exc
+        return cls(**payload)  # __post_init__ checks the kind of every field
 
 
 class ToyModel:
@@ -160,6 +173,8 @@ def build_toy(seed=0, init_mode="independent", bias_mode="learned", widths=TOY_W
         raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {init_mode!r}")
     if bias_mode not in BIAS_MODES:
         raise ConfigError(f"bias_mode must be one of {BIAS_MODES}, got {bias_mode!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     chain = (1,) + tuple(widths)
     shapes = [(chain[i + 1], chain[i], n_f, n_f) for i in range(len(widths))]
     rng = np.random.default_rng((seed, 0))

@@ -65,6 +65,29 @@ class TestScalarMaps:
         z = rng.normal(scale=3.0, size=1000)
         np.testing.assert_allclose(soft_shrink(z, 1.3) + soft_clip(z, 1.3), z, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "shrink, clip, p",
+        [("soft_shrink", "soft_clip", 2), ("dog_shrink", "dog_clip", 2),
+         ("dog_shrink", "dog_clip", 4), ("dog_shrink", "dog_clip", 6)],
+        ids=["soft", "dog-p2", "dog-p4", "dog-p6"],
+    )
+    def test_shrink_plus_clip_is_identity_random(self, shrink, clip, p):
+        # random 4-D shapes and scales; a scalar or a per-channel threshold
+        # (some channels at 0) on the scale of the input
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            shape = tuple(int(n) for n in rng.integers(1, 7, size=4))
+            scale = 10.0 ** rng.uniform(-2, 2)
+            z = rng.normal(scale=scale, size=shape)
+            if seed % 2:
+                t = float(rng.uniform(0, 3) * scale)
+            else:
+                t = rng.uniform(0, 3, size=shape[0]) * scale * (rng.random(shape[0]) > 0.2)
+            total = apply_activation(ActivationSpec(shrink, t=t, p=p), z) + apply_activation(
+                ActivationSpec(clip, t=t, p=p), z
+            )
+            assert np.max(np.abs(total - z)) <= 1e-14 * np.max(np.abs(z)), seed
+
     def test_garrote_values(self):
         assert garrote_shrink(2.0, 1.0) == pytest.approx(1.5)
         assert garrote_shrink(0.5, 1.0) == 0.0

@@ -158,8 +158,11 @@ class TestDenoiseCommand:
             b"P5\n400 400\n65535\n" + bytes(32),  # header claims more pixels
             b"P2\n2 2\n255\n0 1\n2 x\n",  # non-integer sample
             b"P2\n1 1\n255\n" + b"9" * 400 + b"\n",  # sample beyond float range
+            b"P2\n2 2\n255\n-5 300\n7 8\n",  # samples outside [0, maxval]
+            b"P5\n2 1\n200\n" + bytes([7, 250]),  # byte above maxval
         ],
-        ids=["truncated", "short-header-claim", "p2-token", "p2-overflow"],
+        ids=["truncated", "short-header-claim", "p2-token", "p2-overflow", "p2-out-of-range",
+             "p5-above-maxval"],
     )
     def test_malformed_pgm_exit_2(self, workdir, data):
         (workdir / "bad.pgm").write_bytes(data)
@@ -297,14 +300,40 @@ class TestTrainCommand:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["seed"] == 11
 
-    @pytest.mark.parametrize("field, value", [("epochs", "abc"), ("image_size", 5)])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", "abc"),
+            ("image_size", 5),
+            ("epochs", 1.5),
+            ("seed", "abc"),
+            ("seed", True),
+            ("image_size", ["a", "b"]),
+            ("image_size", [16, 16, 16]),
+            ("sigma_train", "x"),
+            ("intensity_range", [0, "1"]),
+            ("seed", -1),
+        ],
+        ids=["epochs-abc", "image_size-5", "epochs-1.5", "seed-abc", "seed-true",
+             "image_size-strings", "image_size-triple", "sigma_train-x", "intensity_range-string",
+             "seed-negative"],
+    )
     def test_wrongly_typed_config_exit_3(self, tmp_path, field, value):
         (tmp_path / "cfg.json").write_text(json.dumps(dict(TINY_TRAIN, **{field: value})))
         result = run_cli(["train", "cfg.json", "--out", "run"], cwd=tmp_path)
         assert result.returncode == 3, result.stderr
-        assert "training config has a malformed field" in result.stderr
-        assert "Traceback" not in result.stderr
+        if value == -1:
+            assert "seed must be non-negative" in result.stderr
+        else:
+            assert "training config has a malformed field" in result.stderr
+        assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
         assert not (tmp_path / "run").exists()
+
+    def test_integral_numbers_accepted_for_real_fields(self, tmp_path):
+        cfg = dict(TINY_TRAIN, epochs=0, lr_initial=1, intensity_range=[0, 1])
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        result = run_cli(["train", "cfg.json", "--out", "run"], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
 
     def test_model_checkpoint_denoises(self, tmp_path):
         cfg = dict(TINY_TRAIN, epochs=4, images_per_epoch=16, seed=1, image_size=[32, 32])
@@ -413,6 +442,13 @@ class TestExperimentCommand:
         assert "Traceback" not in result.stderr
         for name in ("tight-frame", "bias-zero", "generalization"):
             assert name in result.stderr
+        assert not (tmp_path / "runs").exists()
+
+    def test_negative_seed_exit_3(self, tmp_path):
+        result = run_cli(["experiment", "tight-frame", "--seed", "-1"], cwd=tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "seed must be non-negative" in result.stderr
+        assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
         assert not (tmp_path / "runs").exists()
 
     def test_generalization_csv_shape(self, tmp_path):

@@ -136,6 +136,19 @@ class TestPhaseComplement:
         np.testing.assert_allclose(recon, np.maximum(y, 0) - np.maximum(-y, 0), atol=1e-12)
         assert np.max(np.abs(recon - y)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "base", [lambda: haar_dwt().basis(), identity_basis], ids=["haar", "identity"]
+    )
+    def test_rectified_round_trip_random_shapes(self, base):
+        pct = phase_complement(base())
+        decoder = tensor.tensor_transpose(pct.inverse)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            rows, cols = (2 * int(n) for n in rng.integers(2, 17, size=2))  # even, 4-32
+            y = rng.normal(size=(1, int(rng.integers(1, 5)), rows, cols))
+            recon = tensor.conv2d(decoder, relu_bias(tensor.conv2d(pct.forward, y)))
+            assert np.max(np.abs(recon - y)) < 1e-12, seed
+
     def test_identity_input_form(self):
         pct = phase_complement(haar_dwt().basis())
         report = check_phase_complementary(pct.forward, pct.inverse)

@@ -15,7 +15,6 @@ from fdl.analysis import (
     flops_unet,
     ideal_instantiation,
     pr_analyze,
-    _strip_residual,
 )
 from fdl.errors import ConfigError
 from fdl.framelets import haar_dwt, make_basis, phase_complement
@@ -188,7 +187,7 @@ class TestRuntime:
 
     def test_shape_preservation_all_builders(self):
         for spec in (build_unet(4, 8), build_red(4, 8), build_lwfsn(4), build_rlwfsn(4), build_toy_spec()):
-            net = ideal_instantiation(_strip_residual(spec))
+            net = ideal_instantiation(spec)
             out = net.run(np.ones((1, 1, 12, 12)))
             assert out.shape == (1, 1, 12, 12), spec.name
 
@@ -236,6 +235,28 @@ class TestPrAnalyze:
         with pytest.raises(ConfigError):
             pr_analyze(spec)
 
+    def test_paired_convs_must_share_filter_size(self):
+        spec = NetworkSpec(layers=(Conv(4, 1, 3), RELU, Conv(1, 4, 5)))
+        with pytest.raises(ConfigError, match="paired convs must share filter size"):
+            pr_analyze(spec)
+
+    def test_references_to_a_shortcut_go_to_its_main_input(self):
+        layers = (
+            Conv(2, 1, 3), RELU, Conv(1, 2, 3),       # 0-2: a rectified pair
+            SkipAdd(from_=-1, residual=True),          # 3: shortcut, dropped
+            Conv(2, 1, 3, source=3), RELU, Conv(1, 2, 3),  # 4-6: names it as source
+            SkipAdd(from_=3),                          # 7: and as from_
+        )
+        net = ideal_instantiation(NetworkSpec(layers=layers, residual=True))
+        ideal = net.spec.layers
+        assert not net.spec.residual and len(ideal) == 7
+        assert not any(isinstance(layer, SkipAdd) and layer.residual for layer in ideal)
+        assert ideal[3] == Conv(2, 1, 3, bias=False, source=2)
+        assert ideal[6] == SkipAdd(from_=2, source=5)
+        assert all(bias is None for _, bias in net.weights)
+        x = np.random.default_rng(8).normal(size=(1, 1, 8, 8))
+        np.testing.assert_allclose(net.run(x), 2 * x, atol=1e-12)  # two reconstructing paths
+
 
 class TestEquivalentFilter:
     def test_delta_pair(self):
@@ -263,6 +284,31 @@ class TestEquivalentFilter:
         k = equivalent_filter(net, grid=8)
         np.testing.assert_allclose(k, tensor.identity_image(1, 8), atol=1e-9)
 
+    def test_identity_activation_before_rectifier_collapses(self):
+        pct = phase_complement(haar_dwt().basis())
+        identity = Activation(ActivationSpec("soft_shrink", t=0.0))
+        layers = (Conv(8, 1, 3, bias=False), identity, RELU, Conv(1, 8, 3, bias=False))
+        weights = [(pct.forward, None), (tensor.tensor_transpose(pct.inverse), None)]
+        k = equivalent_filter(Network(NetworkSpec(layers=layers), weights), grid=8)
+        np.testing.assert_allclose(k, tensor.identity_image(1, 8), atol=1e-9)
+
+    @pytest.mark.parametrize("tail", ["identity-before-decoder", "rectifier-after-pair"])
+    def test_refuses_rectifier_without_adjacent_pair(self, tail):
+        pct = phase_complement(haar_dwt().basis())
+        enc, dec = (pct.forward, None), (tensor.tensor_transpose(pct.inverse), None)
+        identity = Activation(ActivationSpec("soft_clip", t=np.inf))
+        if tail == "identity-before-decoder":
+            layers = (Conv(8, 1, 3, bias=False), RELU, identity, Conv(1, 8, 3, bias=False))
+            weights = [enc, dec]
+        else:
+            delta = tensor.signed_impulse_bank(1, (1.0,), size=3)
+            layers = (Conv(8, 1, 3, bias=False), RELU, Conv(1, 8, 3, bias=False), RELU,
+                      Conv(1, 1, 3, bias=False))
+            weights = [enc, dec, (delta, None)]
+        net = Network(NetworkSpec(layers=layers), weights)
+        with pytest.raises(ConfigError, match="'relu_bias' is not provably an identity"):
+            equivalent_filter(net, grid=8)
+
     def test_refuses_unprotected_relu(self):
         rng = np.random.default_rng(4)
         spec = NetworkSpec(layers=(Conv(2, 1, 3, bias=False), RELU, Conv(1, 2, 3, bias=False)))
@@ -273,7 +319,7 @@ class TestEquivalentFilter:
             equivalent_filter(net)
 
     def test_refuses_resampling(self):
-        net = ideal_instantiation(_strip_residual(build_lwfsn(4)))
+        net = ideal_instantiation(build_lwfsn(4))
         with pytest.raises(ConfigError):
             equivalent_filter(net)
 
