@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types, and the kind rule for values read from JSON, shared
+across the package."""
+
+from numbers import Integral, Real
 
 
 class FdlError(Exception):
@@ -15,3 +18,16 @@ class ConfigError(FdlError, ValueError):
 
 class NumericError(FdlError, ArithmeticError):
     """A computation produced non-finite values."""
+
+
+# Builtin types of each numeric kind, tested before the much slower ABC test.
+_BUILTIN_KINDS = {Integral: int, Real: (int, float)}
+
+
+def is_kind(value, kind) -> bool:
+    """Whether ``value`` is of ``kind`` (such as ``numbers.Integral``,
+    ``numbers.Real``, ``bool`` or ``str``); a ``bool`` is a flag only, never
+    a number."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, _BUILTIN_KINDS.get(kind, kind)) or isinstance(value, kind)

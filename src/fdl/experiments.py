@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,27 +61,21 @@ class ExperimentConfig:
     seed: int = 0
     epochs: int = 25
     images_per_epoch: int = 192
-    batch_size: int = 1
     lr_initial: float = 1e-3
     sigma_train: float = 0.1
     image_size: tuple = (64, 64)
     test_image_size: int = 256
 
-    def train_config(self, init_mode, bias_mode="learned") -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            images_per_epoch=self.images_per_epoch,
-            batch_size=self.batch_size,
-            lr_initial=self.lr_initial,
-            seed=self.seed,
-            init_mode=init_mode,
-            bias_mode=bias_mode,
-            sigma_train=self.sigma_train,
-            image_size=self.image_size,
-        )
-
     def test_image(self) -> np.ndarray:
         return piecewise_scene(self.test_image_size)
+
+
+def _train_model(cfg: ExperimentConfig, init_mode, bias_mode="learned"):
+    """Build the reference model in the given modes and train it under every
+    field of ``cfg`` but ``test_image_size``; returns ``(model, history)``."""
+    protocol = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "test_image_size"}
+    model = build_toy(seed=cfg.seed, init_mode=init_mode, bias_mode=bias_mode)
+    return model, train(model, TrainConfig(**protocol, init_mode=init_mode, bias_mode=bias_mode))
 
 
 def _diagnostic_dict(report: PhaseComplementReport) -> dict:
@@ -125,12 +119,9 @@ class TightFrameReport:
 
 def run_tight_frame_experiment(cfg: ExperimentConfig) -> TightFrameReport:
     """Train both initializations and probe the deepest kernel pair."""
-    models = {}
-    histories = {}
+    models, histories = {}, {}
     for mode in ("shared_enc_dec", "independent"):
-        model = build_toy(seed=cfg.seed, init_mode=mode)
-        histories[mode] = train(model, cfg.train_config(mode))
-        models[mode] = model
+        models[mode], histories[mode] = _train_model(cfg, mode)
     diags = {
         mode: check_phase_complementary(*models[mode].deepest_pair()) for mode in models
     }
@@ -257,10 +248,8 @@ def run_generalization_experiment(
     bias by ``sigma_hat / sigma_train`` at inference, recovering the
     baseline exactly when the estimate matches the training level.
     """
-    baseline = build_toy(seed=cfg.seed, init_mode="independent")
-    train(baseline, cfg.train_config("independent"))
-    bias_free = build_toy(seed=cfg.seed, init_mode="independent", bias_mode="zero_fixed")
-    train(bias_free, cfg.train_config("independent", bias_mode="zero_fixed"))
+    baseline, _ = _train_model(cfg, "independent")
+    bias_free, _ = _train_model(cfg, "independent", bias_mode="zero_fixed")
 
     clean = cfg.test_image()
     rows = {"noisy": [], "baseline": [], "adaptive": [], "bias_free": []}
@@ -362,8 +351,7 @@ def run_named_experiment(name, cfg: ExperimentConfig, out_dir):
         report = run_tight_frame_experiment(cfg)
         write_tight_frame_report(report, out_dir)
     elif name == "bias-zero":
-        model = build_toy(seed=cfg.seed, init_mode="shared_enc_dec")
-        train(model, cfg.train_config("shared_enc_dec"))
+        model, _ = _train_model(cfg, "shared_enc_dec")
         report = run_bias_zero_probe(
             model, cfg.test_image(), sigma=cfg.sigma_train, seed=cfg.seed
         )

@@ -28,12 +28,13 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from numbers import Integral, Real
 from types import SimpleNamespace
 
 import numpy as np
 
 from .activations import ActivationSpec, apply_activation
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, is_kind
 from .framelets import haar_dwt
 from .tensor import as_tensor4, bank_down, bank_up, conv2d
 
@@ -136,8 +137,8 @@ def _main_input(index, layer):
 
 
 def _check_ref(idx, ref, what):
-    if ref is not None and not (-1 <= ref < idx):
-        raise ConfigError(f"layer {idx}: {what} {ref} must point at an earlier layer or -1")
+    if ref is not None and not (is_kind(ref, Integral) and -1 <= ref < idx):
+        raise ConfigError(f"layer {idx}: {what} {ref!r} must point at an earlier layer or -1")
 
 
 def validate_spec(spec: NetworkSpec) -> list:
@@ -346,12 +347,32 @@ def _object(payload, what) -> dict:
     return payload
 
 
+_KIND_NAMES = {Integral: "an integer", Real: "a number", bool: "a boolean", str: "a string"}
+_REQUIRED = object()
+
+
+def _field(entry: dict, key, kind, default=_REQUIRED):
+    """``entry[key]``, or ``default`` when it is absent and optional,
+    checked against the kind rule of :func:`fdl.errors.is_kind`."""
+    value = entry[key] if default is _REQUIRED else entry.get(key, default)
+    if not is_kind(value, kind):
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def _act_from_json(payload: dict) -> ActivationSpec:
-    kind = _object(payload, "activation").get("kind")
+    kind = _field(_object(payload, "activation"), "kind", str)
     if kind == "let":
-        members = tuple((float(w), _act_from_json(m)) for w, m in payload.get("members", []))
-        return ActivationSpec("let", members=members)
-    return ActivationSpec(kind, t=payload.get("t", 0.0), p=int(payload.get("p", 2)))
+        members = []
+        for w, m in payload.get("members", []):
+            if not is_kind(w, Real):
+                raise ConfigError(f"let weight must be a number, got {w!r}")
+            members.append((float(w), _act_from_json(m)))
+        return ActivationSpec("let", members=tuple(members))
+    t = payload.get("t", 0.0)
+    if not (is_kind(t, Real) or isinstance(t, list) and all(is_kind(v, Real) for v in t)):
+        raise ConfigError(f"t must be a number or a list of numbers, got {t!r}")
+    return ActivationSpec(kind, t=t, p=_field(payload, "p", Integral, 2))
 
 
 def spec_to_json(spec: NetworkSpec) -> dict:
@@ -398,30 +419,30 @@ def spec_from_json(payload: dict) -> NetworkSpec:
             if kind == "conv":
                 layers.append(
                     Conv(
-                        out_ch=int(entry["out_ch"]),
-                        in_ch=int(entry["in_ch"]),
-                        n_f=int(entry.get("n_f", 3)),
-                        bias=bool(entry.get("bias", True)),
+                        out_ch=_field(entry, "out_ch", Integral),
+                        in_ch=_field(entry, "in_ch", Integral),
+                        n_f=_field(entry, "n_f", Integral, 3),
+                        bias=_field(entry, "bias", bool, True),
                         source=source,
                     )
                 )
             elif kind == "activation":
                 layers.append(Activation(_act_from_json(entry["activation"]), source=source))
             elif kind == "resample":
-                if int(entry.get("s", 2)) != 2:
+                if _field(entry, "s", Integral, 2) != 2:
                     raise ConfigError(f"resampling factor must be 2, got {entry['s']}")
                 layers.append(
                     Resample(
-                        direction=entry["direction"],
-                        kind=entry.get("kind", "plain"),
+                        direction=_field(entry, "direction", str),
+                        kind=_field(entry, "kind", str, "plain"),
                         source=source,
                     )
                 )
             elif kind == "skip_add":
                 layers.append(
                     SkipAdd(
-                        from_=int(entry["from"]),
-                        residual=bool(entry.get("residual", False)),
+                        from_=entry["from"],
+                        residual=_field(entry, "residual", bool, False),
                         source=source,
                     )
                 )
@@ -432,9 +453,9 @@ def spec_from_json(payload: dict) -> NetworkSpec:
     try:
         return NetworkSpec(
             layers=tuple(layers),
-            residual=bool(payload.get("residual", False)),
-            input_channels=int(payload.get("input_channels", 1)),
-            name=str(payload.get("name", "")),
+            residual=_field(payload, "residual", bool, False),
+            input_channels=_field(payload, "input_channels", Integral, 1),
+            name=_field(payload, "name", str, ""),
         )
     except ConfigError:
         raise

@@ -83,7 +83,7 @@ def _read_pgm(data: bytes) -> np.ndarray:
     else:
         raise ConfigError(f"unsupported Netpbm type {magic!r} (only P2/P5 grayscale)")
     if pixels.size != width * height:
-        raise ConfigError("PGM pixel data truncated")
+        raise ConfigError(f"PGM holds {pixels.size} samples, header declares {width * height}")
     if pixels.min() < 0 or pixels.max() > maxval:
         raise ConfigError(f"PGM sample outside [0, {maxval}]")
     return (pixels / maxval).reshape(height, width)[None, None]

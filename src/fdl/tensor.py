@@ -132,12 +132,6 @@ def _offsets(kv, kh):
     return [(u - cv, v - ch) for u in range(kv) for v in range(kh)]
 
 
-def _tap_corner(du, dv, cv, ch, correlate):
-    """Top-left corner, in the halo-padded grid, of the window that tap
-    ``(du, dv)`` reads (stack) or writes (fold)."""
-    return (cv + du, ch + dv) if correlate else (cv - du, ch - dv)
-
-
 def _fold_halo(acc, pad, n):
     """Adjoint of wrap padding along axis 2: add each halo row into the row
     one period inward, outermost first (a halo wider than the image is
@@ -160,16 +154,14 @@ def _shift_stack(signal, kv, kh, correlate=False):
     Layout is ``(rows, taps, cols, H, W)`` with taps enumerated row-major
     over the kernel window, matching ``kernel.reshape(out, -1)``.  With
     ``correlate=True`` shifts run in the opposite direction (used by the
-    adjoint).  Built by slicing one wrap-padded copy, which is much
-    cheaper than per-tap rolls.
+    adjoint).  Each tap is filled by :func:`_wrap_shift`'s block copies,
+    with no padded copy of the signal.
     """
     sr, sc, h, w = signal.shape
-    cv, ch = kv // 2, kh // 2
-    padded = np.pad(signal, ((0, 0), (0, 0), (cv, cv), (ch, ch)), mode="wrap")
+    sign = -1 if correlate else 1
     stack = np.empty((sr, kv * kh, sc, h, w))
     for i, (du, dv) in enumerate(_offsets(kv, kh)):
-        r0, c0 = _tap_corner(du, dv, cv, ch, correlate)
-        stack[:, i] = padded[:, :, r0 : r0 + h, c0 : c0 + w]
+        _wrap_shift(stack[:, i], signal, sign * du, sign * dv)
     return stack
 
 
@@ -195,9 +187,9 @@ def _fold_products(kmat, signal, kv, kh, correlate=False):
     rows = products.shape[0] // (kv * kh)
     margin = cv * ph + ch  # the largest flat shift
     acc = np.zeros((rows, n + 2 * margin))
+    sign = -1 if correlate else 1  # as in _shift_stack, whose adjoint this is
     for i, (du, dv) in enumerate(_offsets(kv, kh)):
-        r0, c0 = _tap_corner(du, dv, cv, ch, correlate)
-        start = margin + (r0 - cv) * ph + (c0 - ch)
+        start = margin - sign * (du * ph + dv)
         acc[:, start : start + n] += products[i * rows : (i + 1) * rows]
     acc = acc[:, margin : margin + n].reshape(rows, sc, pv, ph)
     acc = _fold_halo(acc.swapaxes(2, 3), ch, w).swapaxes(2, 3)

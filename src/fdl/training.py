@@ -15,6 +15,7 @@ bit-identical on one thread.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from numbers import Integral, Real
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .datasets import NoiseModel, TriangleDatasetConfig, add_noise, gen_triangles
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, is_kind
 from .metrics import snr_db
 from .network import NUMPY_OPS, TOY_WIDTHS, build_toy_spec, evaluate
 from .optim import Adam, xavier_uniform_init
@@ -43,7 +44,7 @@ INIT_MODES = ("independent", "shared_enc_dec", "pct_delta")
 BIAS_MODES = ("learned", "zero_fixed")
 # Kind of each numeric config field; a pair field holds two values of its kind.
 _FIELD_KINDS = {
-    "epochs": Integral, "images_per_epoch": Integral, "batch_size": Integral, "seed": Integral,
+    "epochs": Integral, "images_per_epoch": Integral, "seed": Integral,
     "n_validation": Integral, "lr_initial": Real, "sigma_train": Real,
     "image_size": Integral, "triangles_per_image": Integral, "intensity_range": Real,
 }
@@ -56,7 +57,6 @@ class TrainConfig:
 
     epochs: int = 25
     images_per_epoch: int = 192
-    batch_size: int = 1
     lr_initial: float = 1e-3
     seed: int = 0
     init_mode: str = "independent"
@@ -71,9 +71,7 @@ class TrainConfig:
         for name, kind in _FIELD_KINDS.items():
             value, pair = getattr(self, name), name in _PAIR_FIELDS
             values = tuple(value) if pair and isinstance(value, (list, tuple)) else (value,)
-            if len(values) != (2 if pair else 1) or not all(
-                isinstance(v, kind) and not isinstance(v, bool) for v in values
-            ):
+            if len(values) != (2 if pair else 1) or not all(is_kind(v, kind) for v in values):
                 count = "two" if pair else "one"
                 raise ConfigError(
                     f"training config has a malformed field: {name} needs {count} "
@@ -81,8 +79,10 @@ class TrainConfig:
                 )
             if pair:
                 object.__setattr__(self, name, values)
-        if self.epochs < 0 or self.images_per_epoch < 1 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch/epoch sizes >= 1")
+        if self.epochs < 0 or self.n_validation < 0 or self.images_per_epoch < 1:
+            raise ConfigError("epochs and n_validation must be >= 0, images_per_epoch >= 1")
+        if min(self.image_size) < 1:
+            raise ConfigError(f"image_size entries must be >= 1, got {list(self.image_size)}")
         if self.lr_initial <= 0:
             raise ConfigError(f"lr_initial must be positive, got {self.lr_initial}")
         if self.init_mode not in INIT_MODES:
@@ -114,12 +114,11 @@ class ToyModel:
     transpose, which keeps the pairing between the two sides explicit.
     """
 
-    def __init__(self, enc_kernels, enc_biases, dec_kernels, dec_biases, bias_mode="learned"):
+    def __init__(self, enc_kernels, enc_biases, dec_kernels, dec_biases):
         self.enc_kernels = enc_kernels
         self.enc_biases = enc_biases
         self.dec_kernels = dec_kernels
         self.dec_biases = dec_biases
-        self.bias_mode = bias_mode
         self.spec = build_toy_spec(self.widths, enc_kernels[0].value.shape[-1])
 
     @property
@@ -196,7 +195,7 @@ def build_toy(seed=0, init_mode="independent", bias_mode="learned", widths=TOY_W
         ad.Parameter(np.zeros(chain[i + 1]), trainable=trainable_bias) for i in range(len(widths))
     ]
     dec_biases = [ad.Parameter(np.zeros(chain[i]), trainable=trainable_bias) for i in range(len(widths))]
-    return ToyModel(enc_kernels, enc_biases, dec_kernels, dec_biases, bias_mode=bias_mode)
+    return ToyModel(enc_kernels, enc_biases, dec_kernels, dec_biases)
 
 
 @dataclass
@@ -234,9 +233,8 @@ def _validation_set(cfg: TrainConfig):
 def train(model: ToyModel, cfg: TrainConfig) -> TrainHistory:
     """Run the full protocol; returns the per-epoch history.
 
-    A fresh batch of triangle images is generated every epoch; noise is
-    drawn per image.  Gradients are averaged over the (usually singleton)
-    batch before each optimizer step.
+    A fresh set of triangle images is generated every epoch; noise is
+    drawn per image, and every image is one Adam step (batch size 1).
     """
     optimizer = Adam(model.parameters())
     history = TrainHistory()
@@ -256,20 +254,15 @@ def train(model: ToyModel, cfg: TrainConfig) -> TrainHistory:
             )
         )
         losses = []
-        for start in range(0, cfg.images_per_epoch, cfg.batch_size):
+        for i in range(cfg.images_per_epoch):
             optimizer.zero_grad()
-            batch = range(start, min(start + cfg.batch_size, cfg.images_per_epoch))
-            for i in batch:
-                clean = images[i]
-                noisy = add_noise(clean, NoiseModel(cfg.sigma_train, seed=(cfg.seed, 2, epoch, i)))
-                loss = ad.mse(model.forward(noisy), ad.constant(clean))
-                if not np.isfinite(loss.value):
-                    raise NumericError(f"loss diverged at epoch {epoch}, image {i}")
-                ad.backward(loss)
-                losses.append(float(loss.value))
-            if len(batch) > 1:
-                for p in optimizer.params:
-                    p.grad /= len(batch)
+            clean = images[i]
+            noisy = add_noise(clean, NoiseModel(cfg.sigma_train, seed=(cfg.seed, 2, epoch, i)))
+            loss = ad.mse(model.forward(noisy), ad.constant(clean))
+            if not np.isfinite(loss.value):
+                raise NumericError(f"loss diverged at epoch {epoch}, image {i}")
+            ad.backward(loss)
+            losses.append(float(loss.value))
             optimizer.step(lr)
 
         row = {"epoch": epoch, "lr": lr, "train_loss": float(np.mean(losses))}
@@ -322,7 +315,7 @@ def save_checkpoint(model: ToyModel, directory) -> str:
         )
     manifest = {
         "format": CHECKPOINT_FORMAT,
-        "bias_mode": model.bias_mode,
+        "bias_mode": "learned" if all(b.trainable for b in model.enc_biases) else "zero_fixed",
         "widths": list(model.widths),
         "parameters": entries,
     }
@@ -341,7 +334,7 @@ def load_checkpoint(directory) -> ToyModel:
             manifest = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"no checkpoint manifest at {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"cannot parse checkpoint manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ConfigError(f"checkpoint manifest {path} is not a JSON object")
@@ -350,18 +343,33 @@ def load_checkpoint(directory) -> ToyModel:
     values = {}
     try:
         for entry in manifest["parameters"]:
+            shape, trainable = entry["shape"], entry["trainable"]
+            if not (isinstance(shape, list) and all(is_kind(n, Integral) for n in shape)):
+                raise ConfigError(f"checkpoint {path}: shape {shape!r} is not a list of integers")
+            if not is_kind(trainable, bool):
+                raise ConfigError(f"checkpoint {path}: trainable {trainable!r} is not a boolean")
             file = os.path.join(directory, entry["file"])
-            got, want = os.path.getsize(file), 8 * int(np.prod(entry["shape"]))
+            got, want = os.path.getsize(file), 8 * math.prod(shape)
             if got != want:
                 raise ConfigError(
-                    f"checkpoint file {file} holds {got} bytes, shape {entry['shape']} needs {want}"
+                    f"checkpoint file {file} holds {got} bytes, shape {shape} needs {want}"
                 )
             raw = np.fromfile(file, dtype="<f8")
-            values[entry["name"]] = ad.Parameter(raw.reshape(entry["shape"]), entry["trainable"])
+            values[entry["name"]] = ad.Parameter(raw.reshape(shape), trainable)
         levels = range(len(manifest["widths"]))
-        groups = [[values[f"{group}_{level}"] for level in levels] for group in _GROUPS]
+        groups = [[values.pop(f"{group}_{level}") for level in levels] for group in _GROUPS]
+        widths = [k.value.shape[0] for k in groups[0]]
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path} has no entry {exc.args[0]}") from exc
-    except (TypeError, ValueError) as exc:  # a field of the wrong type
+    except OSError as exc:
+        raise ConfigError(f"checkpoint {path} names an unreadable file: {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:  # a field of the wrong type
         raise ConfigError(f"checkpoint {path} has a malformed field: {exc}") from exc
-    return ToyModel(*groups, bias_mode=manifest.get("bias_mode", "learned"))
+    if values or not widths or manifest["widths"] != widths:
+        raise ConfigError(
+            f"checkpoint {path}: widths {manifest['widths']!r} do not match its parameters "
+            f"(encoder widths {widths}, unused entries {list(values)})"
+        )
+    return ToyModel(*groups)

@@ -152,23 +152,24 @@ class TestDenoiseCommand:
         assert result.returncode == 3
 
     @pytest.mark.parametrize(
-        "data",
+        "data, named",
         [
-            b"P5\n4 4\n255\n" + bytes(7),  # truncated payload
-            b"P5\n400 400\n65535\n" + bytes(32),  # header claims more pixels
-            b"P2\n2 2\n255\n0 1\n2 x\n",  # non-integer sample
-            b"P2\n1 1\n255\n" + b"9" * 400 + b"\n",  # sample beyond float range
-            b"P2\n2 2\n255\n-5 300\n7 8\n",  # samples outside [0, maxval]
-            b"P5\n2 1\n200\n" + bytes([7, 250]),  # byte above maxval
+            (b"P5\n4 4\n255\n" + bytes(7), "truncated"),  # truncated payload
+            (b"P5\n400 400\n65535\n" + bytes(32), "truncated"),  # header claims more pixels
+            (b"P2\n2 2\n255\n0 1\n2 x\n", "malformed PGM sample"),  # non-integer sample
+            (b"P2\n1 1\n255\n" + b"9" * 400 + b"\n", "malformed PGM sample"),  # beyond float
+            (b"P2\n2 2\n255\n-5 300\n7 8\n", "outside [0, 255]"),  # outside [0, maxval]
+            (b"P5\n2 1\n200\n" + bytes([7, 250]), "outside [0, 200]"),  # byte above maxval
+            (b"P2\n2 1\n255\n1 2 3\n", "holds 3 samples, header declares 2"),
         ],
         ids=["truncated", "short-header-claim", "p2-token", "p2-overflow", "p2-out-of-range",
-             "p5-above-maxval"],
+             "p5-above-maxval", "p2-extra-samples"],
     )
-    def test_malformed_pgm_exit_2(self, workdir, data):
+    def test_malformed_pgm_exit_2(self, workdir, data, named):
         (workdir / "bad.pgm").write_bytes(data)
         result = run_cli(["denoise", "bad.pgm"], cwd=workdir)
         assert result.returncode == 2, result.stderr
-        assert "cannot parse bad.pgm" in result.stderr
+        assert "cannot parse bad.pgm" in result.stderr and named in result.stderr
         assert "Traceback" not in result.stderr
 
 
@@ -220,6 +221,7 @@ class TestAnalyzeAndFlops:
         half_resolution = [enc, relu, down, dec]
         factor_four = [enc, dict(down, kind="plain", s=4), dict(up, kind="plain", s=4), dec]
         bad_let = {"kind": "let", "members": [[1.0, 5]]}
+        valid = [enc, relu, dec]
         cases = [  # (spec, what stderr names)
             ([enc, relu, dec], "spec must be a JSON object"),
             ({"layers": [enc, {"type": "activation", "activation": bad_let}, dec]}, "layer 1"),
@@ -228,6 +230,17 @@ class TestAnalyzeAndFlops:
             ({"layers": half_resolution}, "level 1"),
             ({"layers": half_resolution, "residual": True}, "level 1"),
             ({"layers": factor_four}, "factor"),
+            # wrongly typed fields that a coercing parser would accept
+            ({"layers": valid, "residual": "false"}, "residual must be a boolean"),
+            ({"layers": [dict(enc, bias="no"), relu, dec]}, "layer 0: bias"),
+            ({"layers": [dict(enc, in_ch=True), relu, dec]}, "layer 0: in_ch"),
+            ({"layers": [dict(enc, n_f="3"), relu, dec]}, "layer 0: n_f"),
+            ({"layers": valid + [{"type": "skip_add", "from": "-1"}]}, "layer 3: skip reference"),
+            ({"layers": valid, "input_channels": 1.5}, "input_channels must be an integer"),
+            ({"layers": [enc, dict(relu, activation={"kind": "dog_shrink", "p": 2.9}), dec]},
+             "layer 1: p"),
+            ({"layers": [enc, dict(relu, activation={"kind": "relu_bias", "t": "0.5"}), dec]},
+             "layer 1: t"),
         ]
         for i, (payload, named) in enumerate(cases):
             bad = tmp_path / f"bad{i}.json"
@@ -329,6 +342,23 @@ class TestTrainCommand:
         assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("image_size", [-4, 16], "image_size entries must be >= 1"),
+            ("n_validation", -1, "n_validation must be >= 0"),
+            ("batch_size", 1, "unknown training config fields: ['batch_size']"),
+        ],
+        ids=["image_size-negative", "n_validation-negative", "batch_size-unknown"],
+    )
+    def test_out_of_range_config_exit_3(self, tmp_path, field, value, named):
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(TINY_TRAIN, **{field: value})))
+        result = run_cli(["train", "cfg.json", "--out", "run"], cwd=tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert named in result.stderr
+        assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
+        assert not (tmp_path / "run").exists()
+
     def test_integral_numbers_accepted_for_real_fields(self, tmp_path):
         cfg = dict(TINY_TRAIN, epochs=0, lr_initial=1, intensity_range=[0, 1])
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -412,8 +442,11 @@ class TestDamagedCheckpoint:
             lambda m: {**m, "parameters": [{**m["parameters"][0], "shape": "abc"}]},
             lambda m: {**m, "widths": 3},
             lambda m: {**m, "parameters": None},
+            lambda m: {**m, "widths": m["widths"][:2]},
+            lambda m: {**m, "parameters": [{**e, "trainable": "no"} for e in m["parameters"]]},
         ],
-        ids=["list-manifest", "string-shape", "int-widths", "null-parameters"],
+        ids=["list-manifest", "string-shape", "int-widths", "null-parameters", "short-widths",
+             "string-trainable"],
     )
     def test_wrongly_typed_manifest_exit_3(self, workdir, checkpoint, damage):
         manifest = json.loads((checkpoint / "checkpoint.json").read_text())

@@ -255,6 +255,15 @@ class TestCheckpoints:
         y = piecewise_scene(16)
         np.testing.assert_array_equal(model.predict(y), clone.predict(y))
 
+    @pytest.mark.parametrize("bias_mode", ["learned", "zero_fixed"])
+    def test_manifest_bias_mode_follows_trainable_flags(self, tmp_path, bias_mode):
+        manifest = save_checkpoint(build_toy(seed=8, bias_mode=bias_mode), tmp_path)
+        with open(manifest, encoding="utf-8") as fh:
+            assert json.load(fh)["bias_mode"] == bias_mode
+        clone = load_checkpoint(tmp_path)
+        learned = [b.trainable for b in clone.enc_biases + clone.dec_biases]
+        assert learned == [bias_mode == "learned"] * len(learned)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ConfigError):
             load_checkpoint(tmp_path)

@@ -1,16 +1,18 @@
-"""Seeded malformed inputs: the spec, PGM and training-config parsers raise
-only package errors (``FdlError``), never a bare Python exception."""
+"""Seeded malformed inputs: the spec, PGM, training-config and checkpoint
+parsers raise only package errors (``FdlError``), never a bare Python
+exception."""
 
 import copy
 import importlib.resources as ir
 import json
+from pathlib import Path
 
 import numpy as np
 
 from fdl.errors import FdlError
 from fdl.network import spec_from_json
 from fdl.pnm import read_image, write_pgm
-from fdl.training import TrainConfig
+from fdl.training import TrainConfig, build_toy, load_checkpoint, save_checkpoint
 
 # Values of every JSON type, swapped in for a field's value; 1e400 is how
 # the JSON number 1e400 decodes (infinity).
@@ -98,5 +100,15 @@ def test_seeded_mutations_raise_only_fdl_errors(tmp_path):
         for data in _byte_mutants(image.read_bytes(), rng, MUTANTS_PER_INPUT):
             mutant.write_bytes(data)
             _call(read_image, mutant, failures)
+
+    # a v1 checkpoint: mutants of its manifest beside intact parameter files
+    manifest = Path(save_checkpoint(build_toy(seed=0), tmp_path / "ckpt"))
+    original = manifest.read_bytes()
+    mutants = list(_byte_mutants(original, rng, MUTANTS_PER_INPUT))
+    for doc in _json_mutants(original.decode("utf-8"), rng, MUTANTS_PER_INPUT):
+        mutants.append(json.dumps(doc).encode("utf-8"))
+    for data in mutants:
+        manifest.write_bytes(data)
+        _call(load_checkpoint, manifest.parent, failures)
 
     assert not failures, "\n".join(failures[:10])
