@@ -35,8 +35,11 @@ class TriangleDatasetConfig:
         lo, hi = self.intensity_range
         if not (0.0 <= lo <= hi <= 1.0):
             raise ConfigError(f"intensity range must sit inside [0, 1], got {self.intensity_range}")
-        if self.triangles_per_image[0] > self.triangles_per_image[1]:
-            raise ConfigError(f"bad triangle count range {self.triangles_per_image}")
+        low, high = self.triangles_per_image
+        if not 0 <= low <= high:
+            raise ConfigError(
+                f"bad triangle count range {self.triangles_per_image}: needs 0 <= low <= high"
+            )
         if self.n_images < 0:
             raise ConfigError("n_images must be >= 0")
 

@@ -21,11 +21,12 @@ import csv
 import json
 import os
 from dataclasses import dataclass, field, fields
+from numbers import Integral
 
 import numpy as np
 
 from .datasets import NoiseModel, add_noise, piecewise_scene
-from .errors import ConfigError
+from .errors import ConfigError, is_kind
 from .framelets import PhaseComplementReport, check_phase_complementary
 from .metrics import estimate_sigma_mad, snr_db
 from .pnm import write_pgm
@@ -65,6 +66,11 @@ class ExperimentConfig:
     sigma_train: float = 0.1
     image_size: tuple = (64, 64)
     test_image_size: int = 256
+
+    def __post_init__(self):
+        size = self.test_image_size
+        if not is_kind(size, Integral) or size < 16 or size % 2:
+            raise ConfigError(f"test_image_size must be an even integer >= 16, got {size!r}")
 
     def test_image(self) -> np.ndarray:
         return piecewise_scene(self.test_image_size)

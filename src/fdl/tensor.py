@@ -29,6 +29,15 @@ only where decimation keeps it, and :func:`bank_up` only from the samples
 that up-sampling does not zero, in both cases from the bank's nonzero
 taps alone.
 
+A *pointwise* kernel, one whose nonzero entries all sit at its center
+tap, is a 1x1 channel mix whatever its size: :func:`conv2d` applies its
+``(out, in)`` center matrix to the flattened signal in one product, and
+:func:`conv2d_adjoint` the transpose, with no shift stack and no fold.
+The ideal impulse banks of reconstruction analysis are of this kind.
+Every other kernel takes the stack-or-fold route above, and so does the
+differentiable conv of :mod:`fdl.autodiff`: a zero tap still has a
+nonzero kernel gradient.
+
 All functions are pure and operate on immutable inputs, so they are safe to
 call concurrently.
 """
@@ -258,6 +267,24 @@ def _conv_grad_kernel(stack, x, kernel_shape):
     return (x.reshape(ko, pixels) @ s.T).reshape(kernel_shape)
 
 
+def _pointwise(kernel):
+    """The ``(out, in)`` center taps of a kernel whose every other tap is
+    zero, or ``None`` for any other kernel."""
+    ko, kc, kv, kh = kernel.shape
+    taps = kernel.reshape(ko * kc, kv * kh)
+    center = kv * kh // 2
+    if taps[:, :center].any() or taps[:, center + 1 :].any():
+        return None
+    return taps[:, center].reshape(ko, kc)
+
+
+def _channel_mix(matrix, signal):
+    """A pointwise conv: the ``(out, in)`` matrix applied to the signal's
+    rows, columns and pixels flattened."""
+    sr, sc, h, w = signal.shape
+    return (matrix @ signal.reshape(sr, sc * h * w)).reshape(matrix.shape[0], sc, h, w)
+
+
 def conv2d(kernel, signal) -> np.ndarray:
     """Tensor convolution of a kernel with a signal.
 
@@ -274,6 +301,9 @@ def conv2d(kernel, signal) -> np.ndarray:
         )
     if kernel.shape[2] % 2 == 0 or kernel.shape[3] % 2 == 0:
         raise ConfigError(f"kernel spatial dims must be odd, got {kernel.shape[2:]}")
+    mix = _pointwise(kernel)
+    if mix is not None:
+        return _channel_mix(mix, signal)
     out, _ = _conv_forward(kernel, signal)
     return out
 
@@ -293,6 +323,9 @@ def conv2d_adjoint(kernel, signal) -> np.ndarray:
         )
     if kernel.shape[2] % 2 == 0 or kernel.shape[3] % 2 == 0:
         raise ConfigError(f"kernel spatial dims must be odd, got {kernel.shape[2:]}")
+    mix = _pointwise(kernel)
+    if mix is not None:
+        return _channel_mix(mix.T, signal)
     return _conv_grad_signal(kernel, signal)
 
 

@@ -81,6 +81,29 @@ class TestGradCheck:
             rng,
         )
 
+    def test_pointwise_kernel_gradient_fills_every_tap(self):
+        # ad.conv keeps the dense route for a kernel with only center taps,
+        # as pct_delta installs: its zero taps still get their gradient.
+        rng = np.random.default_rng(8)
+        bank = tensor.signed_impulse_bank(2, (1.0, -1.0), size=3)
+        for kernel in (bank, tensor.tensor_transpose(bank)):
+            x = ad.constant(rng.normal(size=(kernel.shape[1], 2, 6, 6)))
+            target = ad.constant(rng.normal(size=(kernel.shape[0], 2, 6, 6)))
+            param = ad.Parameter(kernel.copy())
+            ad.backward(ad.mse(ad.conv(param, x), target))
+            eps = 1e-5
+            for index in np.ndindex(kernel.shape):
+                if index[2:] == (1, 1):
+                    continue
+                plus, minus = kernel.copy(), kernel.copy()
+                plus[index] += eps
+                minus[index] -= eps
+                fd = float(ad.mse(ad.conv(ad.constant(plus), x), target).value)
+                fd -= float(ad.mse(ad.conv(ad.constant(minus), x), target).value)
+                fd /= 2.0 * eps
+                assert param.grad[index] != 0.0
+                assert abs(param.grad[index] - fd) < 1e-6 * max(1e-8, abs(fd))
+
     def test_transpose_gradient(self):
         rng = np.random.default_rng(2)
         x = ad.constant(rng.normal(size=(3, 1, 6, 6)))

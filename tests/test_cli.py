@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -348,8 +349,10 @@ class TestTrainCommand:
             ("image_size", [-4, 16], "image_size entries must be >= 1"),
             ("n_validation", -1, "n_validation must be >= 0"),
             ("batch_size", 1, "unknown training config fields: ['batch_size']"),
+            ("triangles_per_image", [-1, 2], "bad triangle count range (-1, 2)"),
         ],
-        ids=["image_size-negative", "n_validation-negative", "batch_size-unknown"],
+        ids=["image_size-negative", "n_validation-negative", "batch_size-unknown",
+             "triangles_per_image-negative"],
     )
     def test_out_of_range_config_exit_3(self, tmp_path, field, value, named):
         (tmp_path / "cfg.json").write_text(json.dumps(dict(TINY_TRAIN, **{field: value})))
@@ -476,6 +479,18 @@ class TestExperimentCommand:
         for name in ("tight-frame", "bias-zero", "generalization"):
             assert name in result.stderr
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("name", ["generalization", "bias-zero"])
+    def test_bad_test_image_size_exits_before_training(self, tmp_path, name):
+        started = time.perf_counter()
+        result = run_cli(["experiment", name, "--test-image-size", "7"], cwd=tmp_path)
+        elapsed = time.perf_counter() - started
+        assert result.returncode == 3, result.stderr
+        assert "test_image_size must be an even integer >= 16, got 7" in result.stderr
+        assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
+        assert not (tmp_path / "runs").exists()
+        # the default protocol (25 epochs x 192 images) would train for minutes
+        assert elapsed < 30, f"took {elapsed:.1f} s"
 
     def test_negative_seed_exit_3(self, tmp_path):
         result = run_cli(["experiment", "tight-frame", "--seed", "-1"], cwd=tmp_path)

@@ -263,6 +263,94 @@ class TestNarrowSideProperties:
                 assert abs(lhs - np.vdot(x, folded)) < 1e-11 * max(1.0, abs(lhs))
 
 
+def random_pointwise_case(rng, ko, kc, size):
+    """A ``size x size`` kernel whose only nonzero taps are its centers
+    (about a third of them zero as well), a signal of 1-3 columns with even
+    sides 2-8, and an output-shaped probe."""
+    kernel = np.zeros((ko, kc, size, size))
+    kernel[:, :, size // 2, size // 2] = rng.normal(size=(ko, kc)) * (rng.random((ko, kc)) < 0.7)
+    cols = int(rng.integers(1, 4))
+    h, w = 2 * rng.integers(1, 5, size=2)
+    return kernel, rng.normal(size=(kc, cols, h, w)), rng.normal(size=(ko, cols, h, w))
+
+
+def count_dense_calls(monkeypatch):
+    """Count the calls of the stack-or-fold conv routes and of the stack."""
+    calls = {"_conv_forward": 0, "_conv_grad_signal": 0, "_shift_stack": 0}
+    for name in calls:
+        original = getattr(tensor, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(tensor, name, counted)
+    return calls
+
+
+class TestPointwiseProperties:
+    """A kernel whose nonzero taps all sit at its center is a channel mix:
+    the same circular convolution and adjoint, computed without the shift
+    stack or the fold."""
+
+    @pytest.mark.parametrize("size", [1, 3, 5])
+    @pytest.mark.parametrize("ko,kc", CHANNELS)
+    def test_forward_and_adjoint(self, ko, kc, size, monkeypatch):
+        rng = np.random.default_rng((ko, kc, size, 4))
+        calls = count_dense_calls(monkeypatch)
+        for _ in range(6):
+            kernel, x, y = random_pointwise_case(rng, ko, kc, size)
+            out = tensor.conv2d(kernel, x)
+            want = conv2d_roll_reference(kernel, x)
+            assert np.max(np.abs(out - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+            lhs = np.vdot(out, y)
+            assert abs(lhs - np.vdot(x, tensor.conv2d_adjoint(kernel, y))) < 1e-11 * max(1.0, abs(lhs))
+        assert calls == {"_conv_forward": 0, "_conv_grad_signal": 0, "_shift_stack": 0}
+
+    def test_kernel_wider_than_image_and_zero_kernel(self):
+        rng = np.random.default_rng(6)
+        for ko, kc in ((3, 2), (2, 3)):
+            x = rng.normal(size=(kc, 2, 2, 4))
+            y = rng.normal(size=(ko, 2, 2, 4))
+            kernel = np.zeros((ko, kc, 7, 7))
+            zero_x, zero_y = tensor.conv2d(kernel, x), tensor.conv2d_adjoint(kernel, y)
+            assert zero_x.shape == y.shape and not np.any(zero_x)
+            assert zero_y.shape == x.shape and not np.any(zero_y)
+            kernel[:, :, 3, 3] = rng.normal(size=(ko, kc))
+            out = tensor.conv2d(kernel, x)
+            assert np.max(np.abs(out - conv2d_reference(kernel, x))) < 1e-12
+            assert abs(np.vdot(out, y) - np.vdot(x, tensor.conv2d_adjoint(kernel, y))) < 1e-11
+
+    @pytest.mark.parametrize("size", [1, 3, 5])
+    def test_signed_impulse_banks(self, size):
+        rng = np.random.default_rng(size)
+        x = rng.normal(size=(3, 2, 6, 4))
+        plain = tensor.signed_impulse_bank(3, (1.0,), size=size)
+        np.testing.assert_array_equal(tensor.conv2d(plain, x), x)
+        np.testing.assert_array_equal(tensor.conv2d_adjoint(plain, x), x)
+        pairs = tensor.signed_impulse_bank(3, (1.0, -1.0), out_ch=8, size=size)
+        out = tensor.conv2d(pairs, x)
+        np.testing.assert_array_equal(out[0:6:2], x)
+        np.testing.assert_array_equal(out[1:6:2], -x)
+        assert not np.any(out[6:])
+        np.testing.assert_array_equal(tensor.conv2d_adjoint(pairs, out), 2.0 * x)
+
+    @pytest.mark.parametrize("ko,kc", CHANNELS)
+    def test_one_off_center_tap_takes_the_dense_route(self, ko, kc, monkeypatch):
+        rng = np.random.default_rng((ko, kc, 5))
+        calls = count_dense_calls(monkeypatch)
+        for _ in range(4):
+            kernel, x, y = random_pointwise_case(rng, ko, kc, 3)
+            u, v = [(0, 0), (0, 2), (1, 0), (2, 1)][int(rng.integers(4))]
+            kernel[int(rng.integers(ko)), int(rng.integers(kc)), u, v] = rng.normal()
+            out = tensor.conv2d(kernel, x)
+            want = conv2d_roll_reference(kernel, x)
+            assert np.max(np.abs(out - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+            lhs = np.vdot(out, y)
+            assert abs(lhs - np.vdot(x, tensor.conv2d_adjoint(kernel, y))) < 1e-11 * max(1.0, abs(lhs))
+        assert calls["_conv_forward"] == 4 and calls["_conv_grad_signal"] == 4
+
+
 def dwt_stacks():
     bank = haar_dwt()
     return {
