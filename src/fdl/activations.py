@@ -32,7 +32,6 @@ __all__ = [
     "garrote_shrink",
     "dog_clip",
     "dog_shrink",
-    "let_shrink",
     "apply_activation",
     "activation_derivative",
     "shrink_as_relu",
@@ -187,11 +186,6 @@ def dog_shrink(z, t, p=2):
     """Semi-hard shrinkage, the complement of the DoG clip."""
     z = np.asarray(z, dtype=float)
     return z - dog_clip(z, t, p)
-
-
-def let_shrink(z, members):
-    """Weighted combination of shrinkage functions; weights must sum to 1."""
-    return apply_activation(ActivationSpec("let", members=tuple(members)), z)
 
 
 def apply_activation(spec: ActivationSpec, z):

@@ -69,9 +69,22 @@ class _Parser(argparse.ArgumentParser):
         raise CommandLineError(message)
 
 
+def _thread_count(text):
+    """``--threads`` value: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
 def _build_parser():
     parser = _Parser(prog="fdl", description="Framelet denoising lab")
-    parser.add_argument("--threads", type=int, default=1, help="BLAS thread count (default 1)")
+    parser.add_argument(
+        "--threads", type=_thread_count, default=1, help="BLAS thread count, >= 1 (default 1)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("denoise", help="denoise a grayscale image")
@@ -137,18 +150,31 @@ def _env_seed():
         raise CommandLineError(f"FDL_SEED must be an integer, got {raw!r}") from exc
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_file(path, payload):
+    """Write ``payload`` in the format the extension of ``path`` names: a
+    ``.pgm`` image, ``.csv`` rows, or JSON with sorted keys."""
+    if path.endswith(".pgm"):
+        from fdl.pnm import write_pgm
+
+        write_pgm(path, payload)
+    elif path.endswith(".csv"):
+        import csv
+
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(payload)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _finish_run(run_dir, argv, started, config, files=None, seed=None):
     """Complete a run directory: write each ``name: payload`` of ``files``
-    as JSON, then ``manifest.json`` listing every file under ``run_dir``."""
+    (see :func:`_write_file`), then ``manifest.json`` listing every file
+    under ``run_dir``.  This is the one place that writes run files."""
     os.makedirs(run_dir, exist_ok=True)
     for name, payload in (files or {}).items():
-        _write_json(os.path.join(run_dir, name), payload)
+        _write_file(os.path.join(run_dir, name), payload)
     manifest = {
         "command": ["fdl"] + list(argv),
         "config": config,
@@ -157,7 +183,7 @@ def _finish_run(run_dir, argv, started, config, files=None, seed=None):
         "outputs": sorted(_listdir_rel(run_dir)),
         "wall_clock_s": round(time.time() - started, 3),
     }
-    _write_json(os.path.join(run_dir, "manifest.json"), manifest)
+    _write_file(os.path.join(run_dir, "manifest.json"), manifest)
 
 
 def _version():
@@ -220,7 +246,6 @@ def _cmd_denoise(args, argv):
     from fdl.framelets import denoise_framelet, detail_band_mask, framelet_forward, haar_dwt
     from fdl.lowrank import lowrank_approx, svd
     from fdl.metrics import estimate_sigma_mad, snr_db
-    from fdl.pnm import write_pgm
     from fdl.tensor import as_image
 
     started = time.time()
@@ -256,11 +281,10 @@ def _cmd_denoise(args, argv):
             raise ConfigError(f"--rank must be an integer or comma list, got {args.rank!r}") from exc
         if len(ranks) > 1:
             # per-rank demo: the input is treated as the clean reference
-            from fdl.lowrank import lowrank_denoise_demo, write_lowrank_demo
+            from fdl.lowrank import lowrank_denoise_demo
 
             demo = lowrank_denoise_demo(y, sigma=args.sigma, ranks=ranks, seed=0)
             run_dir = args.out or os.path.join("runs", "denoise")
-            write_lowrank_demo(demo, run_dir)
             metrics = {
                 "method": "svd-lowrank-demo",
                 "ranks": ranks,
@@ -269,7 +293,8 @@ def _cmd_denoise(args, argv):
                 "snr_clean_recon_db": list(demo.snr_clean),
                 "snr_noisy_recon_db": list(demo.snr_noisy),
             }
-            _finish_run(run_dir, argv, started, metrics, {"metrics.json": metrics})
+            files = {"metrics.json": metrics, **demo.files()}
+            _finish_run(run_dir, argv, started, metrics, files)
             print(json.dumps(metrics, indent=2, sort_keys=True))
             return EXIT_OK
         factors = svd(y[0, 0])
@@ -294,9 +319,8 @@ def _cmd_denoise(args, argv):
         metrics["snr_gain_db"] = metrics["snr_output_db"] - metrics["snr_input_db"]
 
     run_dir = args.out or os.path.join("runs", "denoise")
-    os.makedirs(run_dir, exist_ok=True)
-    write_pgm(os.path.join(run_dir, "denoised.pgm"), out)
-    _finish_run(run_dir, argv, started, params, {"metrics.json": metrics})
+    files = {"metrics.json": metrics, "denoised.pgm": out}
+    _finish_run(run_dir, argv, started, params, files)
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -361,9 +385,9 @@ def _cmd_experiment(args, argv):
         test_image_size=args.test_image_size,
     )
     run_dir = args.out or os.path.join("runs", f"{args.name}-seed{seed}")
-    report = run_named_experiment(args.name, cfg, run_dir)
+    report = run_named_experiment(args.name, cfg)
     config = {"experiment": args.name, **dataclasses.asdict(cfg)}
-    _finish_run(run_dir, argv, started, config, seed=seed)
+    _finish_run(run_dir, argv, started, config, report.files(), seed=seed)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return EXIT_OK
 

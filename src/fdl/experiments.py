@@ -1,4 +1,4 @@
-"""The three trained-model experiments and their report writers.
+"""The three trained-model experiments and their reports.
 
 1. Tight-frame emergence: train the reference model twice, once with
    independently drawn encoder/decoder kernels and once with the decoder
@@ -11,15 +11,15 @@
    noise level) and a bias-free variant (biases frozen at zero during
    training) across increasing noise levels.
 
-Runners return plain report objects; ``write_*`` helpers persist them as
-JSON metrics, CSV tables, and 16-bit PGM images under a run directory.
+Every runner gets its models from :func:`train_models`, which trains only
+what the caller's memo lacks, so each distinct model of a protocol trains
+once however many experiments evaluate it.  Runners return plain report
+objects; each report's ``files()`` lists the JSON metrics, CSV tables and
+16-bit PGM images it consists of, for the command-line layer to write.
 """
 
 from __future__ import annotations
 
-import csv
-import json
-import os
 from dataclasses import dataclass, field, fields
 from numbers import Integral
 
@@ -29,26 +29,33 @@ from .datasets import NoiseModel, add_noise, piecewise_scene
 from .errors import ConfigError, is_kind
 from .framelets import PhaseComplementReport, check_phase_complementary
 from .metrics import estimate_sigma_mad, snr_db
-from .pnm import write_pgm
 from .training import ToyModel, TrainConfig, TrainHistory, build_toy, train
 
 __all__ = [
     "NOISE_LEVELS",
+    "MODELS",
     "ExperimentConfig",
     "TightFrameReport",
     "BiasZeroReport",
     "GeneralizationReport",
+    "train_models",
     "run_tight_frame_experiment",
     "run_bias_zero_probe",
     "run_generalization_experiment",
-    "write_tight_frame_report",
-    "write_bias_zero_report",
-    "write_generalization_report",
+    "run_named_experiment",
     "response_mosaic",
 ]
 
 # Evaluation noise levels for the generalization experiment.
 NOISE_LEVELS = (0.100, 0.150, 0.175, 0.200, 0.225)
+
+# The (init_mode, bias_mode) pairs of the reference model each experiment
+# evaluates, by experiment name.
+MODELS = {
+    "tight-frame": (("shared_enc_dec", "learned"), ("independent", "learned")),
+    "bias-zero": (("shared_enc_dec", "learned"),),
+    "generalization": (("independent", "learned"), ("independent", "zero_fixed")),
+}
 
 
 @dataclass(frozen=True)
@@ -76,12 +83,26 @@ class ExperimentConfig:
         return piecewise_scene(self.test_image_size)
 
 
-def _train_model(cfg: ExperimentConfig, init_mode, bias_mode="learned"):
-    """Build the reference model in the given modes and train it under every
-    field of ``cfg`` but ``test_image_size``; returns ``(model, history)``."""
+def train_models(cfg: ExperimentConfig, keys, trained=None) -> dict:
+    """``{(init_mode, bias_mode): (model, history)}`` of the reference model
+    in each pair of ``keys``, trained under every field of ``cfg`` but
+    ``test_image_size``.
+
+    ``trained`` is a memo keyed by the full :class:`TrainConfig`: a pair it
+    holds for this protocol is served from it, any other is trained and
+    added to it.  Training is deterministic, so a served model is bitwise
+    the one a fresh training would give.
+    """
+    trained = {} if trained is None else trained
     protocol = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "test_image_size"}
-    model = build_toy(seed=cfg.seed, init_mode=init_mode, bias_mode=bias_mode)
-    return model, train(model, TrainConfig(**protocol, init_mode=init_mode, bias_mode=bias_mode))
+    models = {}
+    for init_mode, bias_mode in keys:
+        train_cfg = TrainConfig(**protocol, init_mode=init_mode, bias_mode=bias_mode)
+        if train_cfg not in trained:
+            model = build_toy(seed=cfg.seed, init_mode=init_mode, bias_mode=bias_mode)
+            trained[train_cfg] = model, train(model, train_cfg)
+        models[init_mode, bias_mode] = trained[train_cfg]
+    return models
 
 
 def _diagnostic_dict(report: PhaseComplementReport) -> dict:
@@ -122,23 +143,30 @@ class TightFrameReport:
             },
         }
 
+    def files(self) -> dict:
+        """``{name: payload}`` of the run files: the report with the scale of
+        each response mosaic, and the mosaics as images."""
+        payload = self.to_json()
+        files = {"report.json": payload}
+        for label, diag in (("shared", self.shared), ("independent", self.independent)):
+            mosaic, scale = response_mosaic(diag.response)
+            payload[f"{label}_response_scale"] = scale
+            files[f"response_{label}.pgm"] = mosaic
+        return files
 
-def run_tight_frame_experiment(cfg: ExperimentConfig) -> TightFrameReport:
+
+def run_tight_frame_experiment(cfg: ExperimentConfig, trained=None) -> TightFrameReport:
     """Train both initializations and probe the deepest kernel pair."""
-    models, histories = {}, {}
-    for mode in ("shared_enc_dec", "independent"):
-        models[mode], histories[mode] = _train_model(cfg, mode)
-    diags = {
-        mode: check_phase_complementary(*models[mode].deepest_pair()) for mode in models
-    }
+    models = train_models(cfg, MODELS["tight-frame"], trained)
+    (shared, shared_history), (independent, independent_history) = models.values()
     return TightFrameReport(
         seed=cfg.seed,
-        shared=diags["shared_enc_dec"],
-        independent=diags["independent"],
-        shared_history=histories["shared_enc_dec"],
-        independent_history=histories["independent"],
-        shared_model=models["shared_enc_dec"],
-        independent_model=models["independent"],
+        shared=check_phase_complementary(*shared.deepest_pair()),
+        independent=check_phase_complementary(*independent.deepest_pair()),
+        shared_history=shared_history,
+        independent_history=independent_history,
+        shared_model=shared,
+        independent_model=independent,
     )
 
 
@@ -170,6 +198,10 @@ class BiasZeroReport:
             "clean_drift_zero_bias": self.clean_drift_zero_bias,
             "denoise_rmse": self.denoise_rmse,
         }
+
+    def files(self) -> dict:
+        """``{name: payload}`` of the run files: the report and its images."""
+        return {"report.json": self.to_json(), **_pgm_files(self.images)}
 
 
 def run_bias_zero_probe(model: ToyModel, clean, sigma=0.1, seed=0) -> BiasZeroReport:
@@ -244,24 +276,32 @@ class GeneralizationReport:
             },
         }
 
+    def files(self) -> dict:
+        """``{name: payload}`` of the run files: the report, the SNR table
+        (one row per model, one column per noise level) and the images."""
+        payload = self.to_json()
+        table = [["model"] + [f"sigma_{s:.3f}" for s in self.noise_levels]]
+        for name in ("baseline", "adaptive", "bias_free"):
+            table.append([name] + [f"{v:.6f}" for v in payload["snr_db"][name]])
+        return {"report.json": payload, "snr_table.csv": table, **_pgm_files(self.images)}
 
-def run_generalization_experiment(
-    cfg: ExperimentConfig, noise_levels=NOISE_LEVELS
-) -> GeneralizationReport:
-    """Train baseline and bias-free models, evaluate three variants.
+
+def run_generalization_experiment(cfg: ExperimentConfig, trained=None) -> GeneralizationReport:
+    """Train baseline and bias-free models, evaluate three variants at each
+    of :data:`NOISE_LEVELS`.
 
     The adaptive variant reuses the baseline weights and rescales every
     bias by ``sigma_hat / sigma_train`` at inference, recovering the
     baseline exactly when the estimate matches the training level.
     """
-    baseline, _ = _train_model(cfg, "independent")
-    bias_free, _ = _train_model(cfg, "independent", bias_mode="zero_fixed")
+    models = train_models(cfg, MODELS["generalization"], trained)
+    (baseline, _), (bias_free, _) = models.values()
 
     clean = cfg.test_image()
     rows = {"noisy": [], "baseline": [], "adaptive": [], "bias_free": []}
     estimates = []
     images = {"clean": clean}
-    for i, sigma in enumerate(noise_levels):
+    for i, sigma in enumerate(NOISE_LEVELS):
         noisy = add_noise(clean, NoiseModel(sigma_eta=sigma, seed=(cfg.seed, 10, i)))
         sigma_hat = estimate_sigma_mad(noisy)
         estimates.append(float(sigma_hat))
@@ -279,7 +319,7 @@ def run_generalization_experiment(
     return GeneralizationReport(
         seed=cfg.seed,
         sigma_train=cfg.sigma_train,
-        noise_levels=tuple(noise_levels),
+        noise_levels=NOISE_LEVELS,
         snr_noisy_input=rows["noisy"],
         snr_baseline=rows["baseline"],
         snr_adaptive=rows["adaptive"],
@@ -292,8 +332,12 @@ def run_generalization_experiment(
 
 
 # ---------------------------------------------------------------------------
-# Writers
+# Run files
 # ---------------------------------------------------------------------------
+
+
+def _pgm_files(images) -> dict:
+    return {f"{name}.pgm": image for name, image in images.items()}
 
 
 def response_mosaic(response) -> tuple:
@@ -311,62 +355,13 @@ def response_mosaic(response) -> tuple:
     return 0.5 + 0.5 * mosaic / scale, scale
 
 
-def _dump_json(payload, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_tight_frame_report(report: TightFrameReport, out_dir) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    payload = report.to_json()
-    for label, diag in (("shared", report.shared), ("independent", report.independent)):
-        mosaic, scale = response_mosaic(diag.response)
-        payload[f"{label}_response_scale"] = scale
-        write_pgm(os.path.join(out_dir, f"response_{label}.pgm"), mosaic)
-    _dump_json(payload, os.path.join(out_dir, "report.json"))
-
-
-def write_bias_zero_report(report: BiasZeroReport, out_dir) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    _dump_json(report.to_json(), os.path.join(out_dir, "report.json"))
-    for name, image in report.images.items():
-        write_pgm(os.path.join(out_dir, f"{name}.pgm"), image)
-
-
-def write_generalization_report(report: GeneralizationReport, out_dir) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    _dump_json(report.to_json(), os.path.join(out_dir, "report.json"))
-    with open(os.path.join(out_dir, "snr_table.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model"] + [f"sigma_{s:.3f}" for s in report.noise_levels])
-        writer.writerow(["baseline"] + [f"{v:.6f}" for v in report.snr_baseline])
-        writer.writerow(["adaptive"] + [f"{v:.6f}" for v in report.snr_adaptive])
-        writer.writerow(["bias_free"] + [f"{v:.6f}" for v in report.snr_bias_free])
-    for name, image in report.images.items():
-        write_pgm(os.path.join(out_dir, f"{name}.pgm"), image)
-
-
-def experiment_names():
-    return ("tight-frame", "bias-zero", "generalization")
-
-
-def run_named_experiment(name, cfg: ExperimentConfig, out_dir):
+def run_named_experiment(name, cfg: ExperimentConfig, trained=None):
     """Dispatch used by the command-line layer; returns the report."""
+    if name not in MODELS:
+        raise ConfigError(f"unknown experiment {name!r}; valid names: {', '.join(MODELS)}")
     if name == "tight-frame":
-        report = run_tight_frame_experiment(cfg)
-        write_tight_frame_report(report, out_dir)
-    elif name == "bias-zero":
-        model, _ = _train_model(cfg, "shared_enc_dec")
-        report = run_bias_zero_probe(
-            model, cfg.test_image(), sigma=cfg.sigma_train, seed=cfg.seed
-        )
-        write_bias_zero_report(report, out_dir)
-    elif name == "generalization":
-        report = run_generalization_experiment(cfg)
-        write_generalization_report(report, out_dir)
-    else:
-        raise ConfigError(
-            f"unknown experiment {name!r}; valid names: {', '.join(experiment_names())}"
-        )
-    return report
+        return run_tight_frame_experiment(cfg, trained)
+    if name == "generalization":
+        return run_generalization_experiment(cfg, trained)
+    ((model, _),) = train_models(cfg, MODELS["bias-zero"], trained).values()
+    return run_bias_zero_probe(model, cfg.test_image(), sigma=cfg.sigma_train, seed=cfg.seed)

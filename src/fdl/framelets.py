@@ -48,17 +48,13 @@ __all__ = [
     "HaarBank",
     "PhaseComplementReport",
     "make_basis",
-    "identity_basis",
     "haar_dwt",
     "framelet_forward",
     "framelet_inverse",
     "phase_complement",
     "check_phase_complementary",
     "denoise_framelet",
-    "tight_frame_energy_ratio",
     "detail_band_mask",
-    "basis_to_json",
-    "basis_from_json",
 ]
 
 
@@ -146,12 +142,6 @@ def make_basis(forward, inverse) -> FrameletBasis:
         c=1.0 / gain,
         c_decimated=None if dec_gain is None else 1.0 / dec_gain,
     )
-
-
-def identity_basis() -> FrameletBasis:
-    """Single-band basis whose filter is the convolution identity."""
-    delta = np.ones((1, 1, 1, 1))
-    return make_basis(delta, delta)
 
 
 _SQRT2 = np.sqrt(2.0)
@@ -309,25 +299,3 @@ def denoise_framelet(basis: FrameletBasis, y, act: ActivationSpec, decimated=Tru
     if np.any(detail):
         out[detail] = apply_activation(act, bands[detail])
     return framelet_inverse(basis, out, decimated=decimated)
-
-
-def tight_frame_energy_ratio(basis: FrameletBasis, y) -> float:
-    """Energy of the undecimated bands over the energy of the input."""
-    y = as_image(y)
-    bands = framelet_forward(basis, y, decimated=False)
-    return float(np.sum(bands**2) / np.sum(y**2))
-
-
-def basis_to_json(basis: FrameletBasis) -> dict:
-    """JSON-serializable description of a basis (filter taps and constants)."""
-    return {
-        "forward": basis.forward.tolist(),
-        "inverse": basis.inverse.tolist(),
-        "c": basis.c,
-        "c_decimated": basis.c_decimated,
-    }
-
-
-def basis_from_json(payload: dict) -> FrameletBasis:
-    """Rebuild a basis from its JSON form, re-measuring the constants."""
-    return make_basis(np.asarray(payload["forward"]), np.asarray(payload["inverse"]))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +16,6 @@ __all__ = [
     "svd",
     "lowrank_approx",
     "lowrank_denoise_demo",
-    "write_lowrank_demo",
 ]
 
 
@@ -80,9 +77,17 @@ class LowRankDemoReport:
     clean_recons: tuple
     noisy_recons: tuple
 
-    def rows(self):
-        """CSV-friendly rows: (rank, snr_clean_recon, snr_noisy_recon)."""
-        return list(zip(self.ranks, self.snr_clean, self.snr_noisy))
+    def files(self) -> dict:
+        """``{name: payload}`` of the run files: the per-rank SNR table and
+        both reconstructions at every rank."""
+        table = [["rank", "snr_clean_recon_db", "snr_noisy_recon_db"]]
+        for rank, s_clean, s_noisy in zip(self.ranks, self.snr_clean, self.snr_noisy):
+            table.append([rank, f"{s_clean:.6f}", f"{s_noisy:.6f}"])
+        files = {"snr_table.csv": table}
+        for rank, clean_m, noisy_m in zip(self.ranks, self.clean_recons, self.noisy_recons):
+            files[f"clean_rank{rank}.pgm"] = clean_m
+            files[f"noisy_rank{rank}.pgm"] = noisy_m
+        return files
 
 
 def lowrank_denoise_demo(x, sigma, ranks, seed=0) -> LowRankDemoReport:
@@ -107,18 +112,3 @@ def lowrank_denoise_demo(x, sigma, ranks, seed=0) -> LowRankDemoReport:
         clean_recons=clean_recons,
         noisy_recons=noisy_recons,
     )
-
-
-def write_lowrank_demo(report: LowRankDemoReport, out_dir) -> None:
-    """Persist a demo report as a CSV SNR table plus per-rank images."""
-    from .pnm import write_pgm
-
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "snr_table.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "snr_clean_recon_db", "snr_noisy_recon_db"])
-        for rank, s_clean, s_noisy in report.rows():
-            writer.writerow([rank, f"{s_clean:.6f}", f"{s_noisy:.6f}"])
-    for rank, clean_m, noisy_m in zip(report.ranks, report.clean_recons, report.noisy_recons):
-        write_pgm(os.path.join(out_dir, f"clean_rank{rank}.pgm"), clean_m[None, None])
-        write_pgm(os.path.join(out_dir, f"noisy_rank{rank}.pgm"), noisy_m[None, None])

@@ -25,7 +25,6 @@ and evaluates it on images with the tensor runtime.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -54,7 +53,6 @@ __all__ = [
     "build_toy_spec",
     "spec_to_json",
     "spec_from_json",
-    "load_spec",
     "TOY_WIDTHS",
 ]
 
@@ -461,11 +459,6 @@ def spec_from_json(payload: dict) -> NetworkSpec:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def load_spec(path) -> NetworkSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_json(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

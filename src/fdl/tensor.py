@@ -59,7 +59,6 @@ __all__ = [
     "tensor_transpose",
     "bank_down",
     "bank_up",
-    "dft_magnitude",
 ]
 
 
@@ -418,9 +417,3 @@ def bank_up(filters, x) -> np.ndarray:
     for e, f in {(0, 0), (0, 1), (1, 0), (1, 1)} - written:
         out[:, :, e::2, f::2] = 0.0
     return out
-
-
-def dft_magnitude(image) -> np.ndarray:
-    """Unnormalized 2-D DFT magnitude of an image, DC at index (0, 0)."""
-    image = as_image(image)
-    return np.abs(np.fft.fft2(image, axes=(2, 3)))

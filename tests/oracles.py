@@ -41,20 +41,6 @@ def conv2d_roll_reference(kernel, signal):
     return out
 
 
-def dft2_reference(plane):
-    """2-D DFT as a direct double sum over all input samples."""
-    height, width = plane.shape
-    out = np.zeros((height, width), dtype=complex)
-    for k in range(height):
-        for l in range(width):
-            acc = 0.0 + 0.0j
-            for m in range(height):
-                for n in range(width):
-                    acc += plane[m, n] * np.exp(-2j * np.pi * (k * m / height + l * n / width))
-            out[k, l] = acc
-    return out
-
-
 def downsample_reference(signal, s):
     """Phase-0 decimation by explicit index selection."""
     r, c, height, width = signal.shape

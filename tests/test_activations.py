@@ -13,7 +13,6 @@ from fdl.activations import (
     dog_clip,
     dog_shrink,
     garrote_shrink,
-    let_shrink,
     map_threshold,
     relu_bias,
     shrink_as_relu,
@@ -155,20 +154,22 @@ class TestLet:
         rng = np.random.default_rng(6)
         z = rng.normal(scale=3.0, size=300)
         members = ((1.0, ActivationSpec("soft_shrink", t=2.0)),)
-        np.testing.assert_allclose(let_shrink(z, members), soft_shrink(z, 2.0))
+        np.testing.assert_allclose(
+            apply_activation(ActivationSpec("let", members=members), z), soft_shrink(z, 2.0)
+        )
 
     def test_two_identical_members_collapse(self):
         rng = np.random.default_rng(7)
         z = rng.normal(scale=3.0, size=300)
         m = ActivationSpec("soft_shrink", t=1.5)
         np.testing.assert_allclose(
-            let_shrink(z, ((0.5, m), (0.5, m))), soft_shrink(z, 1.5), atol=1e-14
+            apply_activation(ActivationSpec("let", members=((0.5, m), (0.5, m))), z),
+            soft_shrink(z, 1.5),
+            atol=1e-14,
         )
 
     def test_bad_weight_sum_raises(self):
         m = ActivationSpec("soft_shrink", t=1.0)
-        with pytest.raises(ConfigError):
-            let_shrink(np.zeros(4), ((0.7, m), (0.4, m)))
         with pytest.raises(ConfigError):
             ActivationSpec("let", members=((0.7, m), (0.4, m)))
 

@@ -79,6 +79,15 @@ class TestThreadPinning:
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
         assert os.environ["OMP_NUM_THREADS"] == "1"
 
+    @pytest.mark.parametrize("count", ["0", "-3", "two"])
+    def test_thread_count_below_one_exit_3(self, tmp_path, count):
+        args = ["--threads", count, "flops", "toy", "--rows", "8", "--cols", "8"]
+        result = run_cli(args, cwd=tmp_path)
+        assert result.returncode == 3, result.stderr
+        want = f"fdl: argument --threads: must be an integer >= 1, got {count!r}\n"
+        assert result.stderr == want
+        assert result.stdout == ""
+
 
 class TestDenoiseCommand:
     def test_wavelet_zero_threshold_is_identity(self, workdir):

@@ -1,11 +1,13 @@
 """Datasets, metrics, training loop, and experiment plumbing (fast scale)."""
 
 import json
-import os
+import time
 
 import numpy as np
 import pytest
 
+from fdl import experiments
+from fdl.cli import _finish_run
 from fdl.datasets import NoiseModel, TriangleDatasetConfig, add_noise, gen_triangles, piecewise_scene
 from fdl.errors import ConfigError, ShapeError
 from fdl.experiments import (
@@ -13,6 +15,7 @@ from fdl.experiments import (
     ExperimentConfig,
     response_mosaic,
     run_bias_zero_probe,
+    run_generalization_experiment,
     run_named_experiment,
     run_tight_frame_experiment,
 )
@@ -331,14 +334,18 @@ class TestExperimentPlumbing:
 
     def test_run_named_experiment_writes_files(self, tmp_path):
         out = tmp_path / "run"
-        run_named_experiment("tight-frame", micro_experiment_cfg(), out)
+        report = run_named_experiment("tight-frame", micro_experiment_cfg())
+        _finish_run(out, ["experiment"], time.time(), {}, report.files())
         assert (out / "report.json").exists()
         assert (out / "response_shared.pgm").exists()
         assert (out / "response_independent.pgm").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == sorted(report.files())
 
     def test_generalization_writer(self, tmp_path):
         out = tmp_path / "run"
-        report = run_named_experiment("generalization", micro_experiment_cfg(), out)
+        report = run_named_experiment("generalization", micro_experiment_cfg())
+        _finish_run(out, ["experiment"], time.time(), {}, report.files())
         table = (out / "snr_table.csv").read_text().strip().splitlines()
         assert len(table) == 4  # header + 3 model rows
         assert table[0].startswith("model,sigma_0.100")
@@ -348,6 +355,44 @@ class TestExperimentPlumbing:
         base = report.baseline_model.predict(clean, bias_scale=1.0)
         np.testing.assert_array_equal(base, report.baseline_model.predict(clean))
 
-    def test_unknown_experiment_name(self, tmp_path):
+    def test_unknown_experiment_name(self):
         with pytest.raises(ConfigError, match="tight-frame"):
-            run_named_experiment("nope", micro_experiment_cfg(), tmp_path)
+            run_named_experiment("nope", micro_experiment_cfg())
+
+
+class TestTrainModels:
+    @pytest.fixture
+    def train_calls(self, monkeypatch):
+        """The ``TrainConfig`` of every training the experiments start."""
+        calls = []
+
+        def counting_train(model, cfg):
+            calls.append(cfg)
+            return train(model, cfg)
+
+        monkeypatch.setattr(experiments, "train", counting_train)
+        return calls
+
+    def test_shared_model_trains_once(self, train_calls):
+        trained = {}
+        tight = run_tight_frame_experiment(micro_experiment_cfg(), trained)
+        general = run_generalization_experiment(micro_experiment_cfg(), trained)
+        assert len(train_calls) == 3  # (independent, learned) is served the second time
+        assert len(trained) == 3
+        assert general.baseline_model is tight.independent_model
+
+    def test_memo_is_keyed_by_protocol(self, train_calls):
+        trained = {}
+        run_tight_frame_experiment(micro_experiment_cfg(seed=11), trained)
+        run_tight_frame_experiment(micro_experiment_cfg(seed=12), trained)
+        assert len(train_calls) == 4 and len(trained) == 4
+        assert [cfg.seed for cfg in train_calls] == [11, 11, 12, 12]
+
+    def test_served_models_give_the_same_reports(self):
+        trained = {}
+        run_tight_frame_experiment(micro_experiment_cfg(), trained)
+        served = run_generalization_experiment(micro_experiment_cfg(), trained)
+        fresh = run_generalization_experiment(micro_experiment_cfg())
+        assert json.dumps(served.to_json()) == json.dumps(fresh.to_json())
+        for name, image in fresh.images.items():
+            assert served.images[name].tobytes() == image.tobytes(), name

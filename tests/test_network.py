@@ -1,6 +1,7 @@
 """Network specs, builders, runtime, reconstruction analysis, FLOP counts."""
 
 import importlib.resources as ir
+import json
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from fdl.network import (
     build_rlwfsn,
     build_toy_spec,
     build_unet,
-    load_spec,
     spec_from_json,
     spec_to_json,
     validate_spec,
@@ -79,7 +79,7 @@ class TestSpecValidation:
 
     def test_bundled_specs_load(self):
         for name in ("unet", "red", "lwfsn", "rlwfsn", "toy"):
-            spec = load_spec(bundled(name))
+            spec = spec_from_json(json.loads(bundled(name).read_text()))
             assert spec.name == name
 
 

@@ -17,7 +17,14 @@ import numpy as np
 
 from fdl.analysis import pr_analyze
 from fdl.errors import ConfigError
-from fdl.network import build_lwfsn, build_red, build_rlwfsn, build_toy_spec, build_unet, load_spec
+from fdl.network import (
+    build_lwfsn,
+    build_red,
+    build_rlwfsn,
+    build_toy_spec,
+    build_unet,
+    spec_from_json,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "pr_reports.json"
 WIDTHS = (2, 4, 8, 16, 32, 64, 128)
@@ -32,7 +39,8 @@ FLOATS = ("gain_dc", "gain_nyquist", "max_recon_err")
 def pool():
     """``(id, spec)`` of every pinned spec."""
     for name in ("lwfsn", "red", "rlwfsn", "toy", "unet"):
-        yield f"bundled:{name}", load_spec(ir.files("fdl") / "specs" / f"{name}.json")
+        path = ir.files("fdl") / "specs" / f"{name}.json"
+        yield f"bundled:{name}", spec_from_json(json.loads(path.read_text()))
     for n_f in (3, 5):
         for c0, c1 in PAIRS:
             yield f"unet({c0},{c1},n_f={n_f})", build_unet(c0, c1, n_f)

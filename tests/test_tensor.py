@@ -1,4 +1,4 @@
-"""Tensor arithmetic: convolution, transposition, resampling, DFT probe."""
+"""Tensor arithmetic: convolution, transposition, resampling."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from oracles import (
     block_diag_bank,
     conv2d_reference,
     conv2d_roll_reference,
-    dft2_reference,
     downsample_reference,
     upsample_reference,
 )
@@ -166,26 +165,6 @@ class TestResampling:
     def test_non_divisible_raises(self):
         with pytest.raises(ShapeError):
             tensor.bank_down(self.UNIT, np.zeros((1, 1, 5, 6)))
-
-
-class TestDftMagnitude:
-    def test_constant_image(self):
-        out = tensor.dft_magnitude(np.ones((1, 1, 4, 4)))
-        assert out[0, 0, 0, 0] == pytest.approx(16.0)
-        rest = out.copy()
-        rest[0, 0, 0, 0] = 0.0
-        assert np.max(np.abs(rest)) < 1e-12
-
-    def test_unit_impulse_is_flat(self):
-        out = tensor.dft_magnitude(tensor.impulse_image(4))
-        np.testing.assert_allclose(out, 1.0, atol=1e-12)
-
-    def test_matches_double_sum_oracle(self):
-        rng = np.random.default_rng(9)
-        img = rng.normal(size=(1, 1, 8, 8))
-        got = tensor.dft_magnitude(img)
-        want = np.abs(dft2_reference(img[0, 0]))
-        assert np.max(np.abs(got[0, 0] - want)) < 1e-9
 
 
 def random_conv_case(rng, ko, kc):
