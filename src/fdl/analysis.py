@@ -16,7 +16,7 @@ of trainable convolutions only; fixed resampling filter banks are free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -57,13 +57,7 @@ class PRReport:
     max_recon_err: float
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "is_perfect": self.is_perfect,
-            "gain_dc": self.gain_dc,
-            "gain_nyquist": self.gain_nyquist,
-            "max_recon_err": self.max_recon_err,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +169,31 @@ def _checkerboard(n):
     return ((-1.0) ** (rr + cc))[None, None]
 
 
-def pr_analyze(spec: NetworkSpec, grid=16, n_probes=3, tol=1e-8, seed=0) -> PRReport:
+# The probe protocol of :func:`pr_analyze`: the side of the probe images,
+# the number of random probes and their seed, and the largest
+# reconstruction error that still counts as perfect.
+PR_GRID = 16
+PR_PROBES = 3
+PR_SEED = 0
+PR_TOL = 1e-8
+
+
+def pr_analyze(spec: NetworkSpec) -> PRReport:
     """Probe a topology for perfect reconstruction under ideal filters.
 
-    Reports the worst reconstruction error over random signed images plus
-    the network gains at DC (constant probe) and at the Nyquist frequency
-    (checkerboard probe).  The probes are the columns of one input, so the
+    Reports the worst reconstruction error over :data:`PR_PROBES` random
+    signed :data:`PR_GRID`-square images (seed :data:`PR_SEED`) plus the
+    network gains at DC (constant probe) and at the Nyquist frequency
+    (checkerboard probe); the verdict is perfect when that error is below
+    :data:`PR_TOL`.  The probes are the columns of one input, so the
     network runs once.
     """
     net = ideal_instantiation(spec)
-    rng = np.random.default_rng(seed)
-    shape = (spec.input_channels, 1, grid, grid)
-    probes = [rng.normal(size=shape) for _ in range(n_probes)]
+    rng = np.random.default_rng(PR_SEED)
+    shape = (spec.input_channels, 1, PR_GRID, PR_GRID)
+    probes = [rng.normal(size=shape) for _ in range(PR_PROBES)]
     flat = np.ones(shape)
-    cb = np.broadcast_to(_checkerboard(grid), shape).copy()
+    cb = np.broadcast_to(_checkerboard(PR_GRID), shape).copy()
     out = net.run(np.concatenate(probes + [flat, cb], axis=1))
     # one contiguous (channels, 1, grid, grid) output per probe
     outs = np.ascontiguousarray(out.swapaxes(0, 1))[:, :, None]
@@ -196,12 +201,12 @@ def pr_analyze(spec: NetworkSpec, grid=16, n_probes=3, tol=1e-8, seed=0) -> PRRe
     max_err = 0.0
     for y, out_y in zip(probes, outs):
         max_err = max(max_err, float(np.max(np.abs(out_y - y))))
-    gain_dc = float(np.sum(outs[n_probes]) / np.sum(flat))
-    gain_nyquist = float(np.vdot(outs[n_probes + 1], cb) / np.vdot(cb, cb))
+    gain_dc = float(np.sum(outs[PR_PROBES]) / np.sum(flat))
+    gain_nyquist = float(np.vdot(outs[PR_PROBES + 1], cb) / np.vdot(cb, cb))
 
     return PRReport(
         name=spec.name,
-        is_perfect=bool(max_err < tol),
+        is_perfect=bool(max_err < PR_TOL),
         gain_dc=gain_dc,
         gain_nyquist=gain_nyquist,
         max_recon_err=max_err,
@@ -225,15 +230,15 @@ def _is_identity_activation(spec: ActivationSpec) -> bool:
     return False
 
 
-def equivalent_filter(net: Network, grid=None, pct_tol=0.05) -> np.ndarray:
+def equivalent_filter(net: Network, grid=None) -> np.ndarray:
     """Composite impulse response of a linear(-izable) chain network.
 
     Only single-resolution chains qualify: resampling and skips make the
     system shift-variant or non-collapsible.  Identity-safe activations
     (zero-threshold shrinkage, infinite-threshold clipping) are dropped;
-    a rectifier is accepted only when the convs around it verify the
-    phase-complementary reconstruction property, in which case the triple
-    collapses to a pure gain.  Anything else raises with a diagnostic.
+    a rectifier is accepted only when the convs around it pass
+    :func:`~fdl.framelets.check_phase_complementary`, in which case the
+    triple collapses to a pure gain.  Anything else raises with a diagnostic.
     """
     spec = net.spec
     if spec.residual:
@@ -269,9 +274,7 @@ def equivalent_filter(net: Network, grid=None, pct_tol=0.05) -> np.ndarray:
             nxt = next(rest, None)
             if reduced and reduced[-1][0] == "conv" and nxt is not None and nxt[0] == "conv":
                 try:
-                    report = check_phase_complementary(
-                        reduced[-1][1], tensor_transpose(nxt[1]), tol=pct_tol
-                    )
+                    report = check_phase_complementary(reduced[-1][1], tensor_transpose(nxt[1]))
                 except (ShapeError, ConfigError):
                     report = None
                 if report is not None and report.is_pct:

@@ -150,56 +150,58 @@ def _env_seed():
         raise CommandLineError(f"FDL_SEED must be an integer, got {raw!r}") from exc
 
 
-def _write_file(path, payload):
-    """Write ``payload`` in the format the extension of ``path`` names: a
-    ``.pgm`` image, ``.csv`` rows, or JSON with sorted keys."""
-    if path.endswith(".pgm"):
+def _write_file(run_dir, name, payload):
+    """Write ``payload`` as ``name`` under ``run_dir`` in the format the
+    extension of ``name`` names: a ``.pgm`` image, ``.csv`` rows, or JSON
+    with sorted keys.  A name without an extension is a model checkpoint
+    directory.  Returns the paths written, relative to ``run_dir``."""
+    path = os.path.join(run_dir, name)
+    if name.endswith(".pgm"):
         from fdl.pnm import write_pgm
 
         write_pgm(path, payload)
-    elif path.endswith(".csv"):
+    elif name.endswith(".csv"):
         import csv
 
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(payload)
+    elif "." not in name:
+        from fdl.training import save_checkpoint
+
+        manifest = save_checkpoint(payload, path)
+        entries = _read_json(manifest)["parameters"]
+        return [os.path.join(name, f) for f in ["checkpoint.json"] + [e["file"] for e in entries]]
     else:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    return [name]
 
 
-def _finish_run(run_dir, argv, started, config, files=None, seed=None):
+def _finish_run(run_dir, argv, started, config, files, seed=None):
     """Complete a run directory: write each ``name: payload`` of ``files``
-    (see :func:`_write_file`), then ``manifest.json`` listing every file
-    under ``run_dir``.  This is the one place that writes run files."""
+    (see :func:`_write_file`), then ``manifest.json`` listing the files
+    written.  Files an earlier run left in ``run_dir`` stay, unlisted.
+    This is the one place that writes run files."""
     os.makedirs(run_dir, exist_ok=True)
-    for name, payload in (files or {}).items():
-        _write_file(os.path.join(run_dir, name), payload)
+    outputs = []
+    for name, payload in files.items():
+        outputs += _write_file(run_dir, name, payload)
     manifest = {
         "command": ["fdl"] + list(argv),
         "config": config,
         "seed": seed,
         "version": _version(),
-        "outputs": sorted(_listdir_rel(run_dir)),
+        "outputs": sorted(outputs),
         "wall_clock_s": round(time.time() - started, 3),
     }
-    _write_file(os.path.join(run_dir, "manifest.json"), manifest)
+    _write_file(run_dir, "manifest.json", manifest)
 
 
 def _version():
     from fdl import __version__
 
     return __version__
-
-
-def _listdir_rel(run_dir):
-    out = []
-    for root, _, files in os.walk(run_dir):
-        for name in files:
-            if name == "manifest.json":
-                continue
-            out.append(os.path.relpath(os.path.join(root, name), run_dir))
-    return out
 
 
 def _read_json(path):
@@ -251,6 +253,7 @@ def _cmd_denoise(args, argv):
     started = time.time()
     y = as_image(_read_input_image(args.input), "input image")
     params = {"method": args.method}
+    out = None  # stays None for the per-rank demo, which writes its own images
 
     if args.method == "wavelet-shrink":
         basis = haar_dwt().basis()
@@ -284,8 +287,7 @@ def _cmd_denoise(args, argv):
             from fdl.lowrank import lowrank_denoise_demo
 
             demo = lowrank_denoise_demo(y, sigma=args.sigma, ranks=ranks, seed=0)
-            run_dir = args.out or os.path.join("runs", "denoise")
-            metrics = {
+            params = {
                 "method": "svd-lowrank-demo",
                 "ranks": ranks,
                 "sigma": args.sigma,
@@ -293,13 +295,11 @@ def _cmd_denoise(args, argv):
                 "snr_clean_recon_db": list(demo.snr_clean),
                 "snr_noisy_recon_db": list(demo.snr_noisy),
             }
-            files = {"metrics.json": metrics, **demo.files()}
-            _finish_run(run_dir, argv, started, metrics, files)
-            print(json.dumps(metrics, indent=2, sort_keys=True))
-            return EXIT_OK
-        factors = svd(y[0, 0])
-        out = lowrank_approx(factors, ranks[0])[None, None]
-        params.update(rank=ranks[0], n_sv=factors.n_sv)
+            images = demo.files()
+        else:
+            factors = svd(y[0, 0])
+            out = lowrank_approx(factors, ranks[0])[None, None]
+            params.update(rank=ranks[0], n_sv=factors.n_sv)
     else:  # model
         if not args.checkpoint:
             raise ConfigError("model method needs --checkpoint")
@@ -312,15 +312,16 @@ def _cmd_denoise(args, argv):
         )
 
     metrics = dict(params)
-    if args.reference:
-        reference = as_image(_read_input_image(args.reference), "reference image")
-        metrics["snr_input_db"] = snr_db(reference, y)
-        metrics["snr_output_db"] = snr_db(reference, out)
-        metrics["snr_gain_db"] = metrics["snr_output_db"] - metrics["snr_input_db"]
+    if out is not None:
+        images = {"denoised.pgm": out}
+        if args.reference:
+            reference = as_image(_read_input_image(args.reference), "reference image")
+            metrics["snr_input_db"] = snr_db(reference, y)
+            metrics["snr_output_db"] = snr_db(reference, out)
+            metrics["snr_gain_db"] = metrics["snr_output_db"] - metrics["snr_input_db"]
 
     run_dir = args.out or os.path.join("runs", "denoise")
-    files = {"metrics.json": metrics, "denoised.pgm": out}
-    _finish_run(run_dir, argv, started, params, files)
+    _finish_run(run_dir, argv, started, params, {"metrics.json": metrics, **images})
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -352,7 +353,7 @@ def _cmd_flops(args, argv):
 
 
 def _cmd_train(args, argv):
-    from fdl.training import TrainConfig, build_toy, save_checkpoint, train
+    from fdl.training import TrainConfig, build_toy, train
 
     started = time.time()
     env_seed = _env_seed()
@@ -362,10 +363,8 @@ def _cmd_train(args, argv):
     model = build_toy(seed=cfg.seed, init_mode=cfg.init_mode, bias_mode=cfg.bias_mode)
     history = train(model, cfg)
     run_dir = args.out or os.path.join("runs", f"train-seed{cfg.seed}")
-    save_checkpoint(model, os.path.join(run_dir, "checkpoint"))
-    _finish_run(
-        run_dir, argv, started, cfg.to_json(), {"history.json": history.to_json()}, cfg.seed
-    )
+    files = {"checkpoint": model, "history.json": history.to_json()}
+    _finish_run(run_dir, argv, started, cfg.to_json(), files, cfg.seed)
     last = history.epochs[-1] if history.epochs else {}
     print(json.dumps({"run_dir": run_dir, "final": last}, indent=2, sort_keys=True))
     return EXIT_OK

@@ -39,7 +39,6 @@ from .tensor import (
     bank_up,
     conv2d,
     identity_image,
-    impulse_image,
     tensor_transpose,
 )
 
@@ -94,7 +93,7 @@ def _undecimated_gain(forward, inverse):
     """Gain of the undecimated round trip, or None if it is not a scaled
     identity."""
     n = _probe_grid(forward, inverse)
-    response = conv2d(tensor_transpose(inverse), conv2d(forward, impulse_image(n)))
+    response = conv2d(tensor_transpose(inverse), conv2d(forward, identity_image(1, n)))
     center = response[0, 0, n // 2, n // 2]
     leak = np.sum(response**2) - center**2
     if center <= 0 or leak > 1e-18 + 1e-12 * center**2:
@@ -240,22 +239,28 @@ def phase_complement(basis: FrameletBasis) -> FrameletBasis:
     return make_basis(forward, inverse)
 
 
-def check_phase_complementary(k, k_tilde, tol=0.05, grid=None) -> PhaseComplementReport:
+# Largest off-diagonal to diagonal energy ratio of a phase-complementary pair.
+PCT_TOL = 0.05
+
+
+def check_phase_complementary(k, k_tilde) -> PhaseComplementReport:
     """Probe an encoder/decoder kernel pair for rectified reconstruction.
 
     Feeds the multi-channel convolution identity through
     ``decoder^T ( relu(encoder . I) )`` and measures how much of the
     response energy lands on the center taps of the diagonal.  A pair that
     reconstructs arbitrary signals through a ReLU concentrates everything
-    there, with a single positive constant.
+    there, with a single positive constant; the verdict ``is_pct`` asks for
+    positive center taps and an off-diagonal energy ratio below
+    :data:`PCT_TOL`.  The probe grid holds the whole response and is at
+    least 8 samples wide.
     """
     k = as_tensor4(k, "encoder kernel")
     k_tilde = as_tensor4(k_tilde, "decoder kernel")
     if k.shape[0] != k_tilde.shape[0] or k.shape[1] != k_tilde.shape[1]:
         raise ShapeError(f"kernel pair channel mismatch: {k.shape} vs {k_tilde.shape}")
     channels = k.shape[1]
-    if grid is None:
-        grid = max(8, _probe_grid(k, k_tilde))
+    grid = max(8, _probe_grid(k, k_tilde))
     probe = identity_image(channels, grid)
     response = conv2d(tensor_transpose(k_tilde), relu_bias(conv2d(k, probe)))
     centers = np.array([response[i, i, grid // 2, grid // 2] for i in range(channels)])
@@ -264,7 +269,7 @@ def check_phase_complementary(k, k_tilde, tol=0.05, grid=None) -> PhaseComplemen
     offdiag_energy = total - diag_energy
     ratio = offdiag_energy / diag_energy if diag_energy > 0 else np.inf
     c_estimate = float(np.mean(centers))
-    is_pct = bool(diag_energy > 0 and ratio < tol and np.min(centers) > 0)
+    is_pct = bool(diag_energy > 0 and ratio < PCT_TOL and np.min(centers) > 0)
     return PhaseComplementReport(
         response=response,
         diag_energy=diag_energy,

@@ -18,8 +18,9 @@ SNR_CAP_DB = 300.0
 MAD_TO_SIGMA = 1.4826
 
 
-def snr_db(reference, estimate, cap=SNR_CAP_DB) -> float:
-    """Signal-to-noise ratio ``10 log10(|x|^2 / |x - x_hat|^2)`` in dB."""
+def snr_db(reference, estimate) -> float:
+    """Signal-to-noise ratio ``10 log10(|x|^2 / |x - x_hat|^2)`` in dB,
+    at most :data:`SNR_CAP_DB`."""
     reference = as_tensor4(reference, "reference")
     estimate = as_tensor4(estimate, "estimate")
     if reference.shape != estimate.shape:
@@ -27,8 +28,8 @@ def snr_db(reference, estimate, cap=SNR_CAP_DB) -> float:
     err = float(np.sum((reference - estimate) ** 2))
     sig = float(np.sum(reference**2))
     if err == 0.0:
-        return cap
-    return min(cap, 10.0 * np.log10(sig / err))
+        return SNR_CAP_DB
+    return min(SNR_CAP_DB, 10.0 * np.log10(sig / err))
 
 
 def estimate_sigma_mad(y) -> float:

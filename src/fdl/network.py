@@ -259,20 +259,14 @@ def build_red(c0, c1, n_f=3) -> NetworkSpec:
     return NetworkSpec(layers=layers, name="red")
 
 
-def _default_let(thresholds=(0.0,)):
-    weight = 1.0 / len(thresholds)
-    members = tuple((weight, ActivationSpec("soft_shrink", t=t)) for t in thresholds)
-    return ActivationSpec("let", members=members)
-
-
 def build_lwfsn(c0, n_f=3, act: ActivationSpec | None = None) -> NetworkSpec:
     """Wavelet-frame shrinkage network.
 
     The encoder output is split by the DWT; detail bands are shrunk and
     the low band passes untouched, so smooth content is never attenuated.
     """
-    if act is None:
-        act = _default_let()
+    if act is None:  # a one-member LET of soft shrinkage at t = 0: the identity
+        act = ActivationSpec("let", members=((1.0, ActivationSpec("soft_shrink", t=0.0)),))
     if not act.is_shrink:
         raise ConfigError(f"detail-band activation must be a shrinkage kind, got {act.kind!r}")
     layers = (

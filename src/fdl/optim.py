@@ -15,11 +15,13 @@ class Adam:
     moments.  The learning rate is passed per step so schedules stay
     outside the optimizer."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+    # moment decay rates and the denominator guard
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params):
         self.params = [p for p in params if p.trainable]
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
@@ -33,19 +35,19 @@ class Adam:
         so the results are bit-identical to it.
         """
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - self.BETA1**self.t
+        c2 = 1.0 - self.BETA2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
             step = np.divide(m, c1)
             step *= lr
             denom = np.divide(v, c2)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += self.EPS
             step /= denom
             p.value -= step
 
@@ -62,15 +64,10 @@ def xavier_bound(shape) -> float:
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
 
 
-def xavier_uniform_init(shape, rng) -> np.ndarray:
-    """Draw a kernel i.i.d. uniform on [-a, a] with the fan-balanced bound.
-
-    ``rng`` may be a seed or a ``numpy.random.Generator``; the same seed
-    always yields the same tensor.
-    """
+def xavier_uniform_init(shape, rng: np.random.Generator) -> np.ndarray:
+    """Draw a kernel i.i.d. uniform on [-a, a] with the fan-balanced bound,
+    from the generator ``rng``."""
     if len(shape) != 4:
         raise ConfigError(f"expected a 4-D kernel shape, got {shape}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     a = xavier_bound(shape)
     return rng.uniform(-a, a, size=shape)

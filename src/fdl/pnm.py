@@ -15,8 +15,12 @@ from .errors import ConfigError, ShapeError
 __all__ = ["write_pgm", "read_image"]
 
 
-def write_pgm(path, image, maxval=65535) -> None:
-    """Write a (1, 1, H, W) or (H, W) array in [0, 1] as a PGM file."""
+# Sample range of written files: 16 bits.
+PGM_MAXVAL = 65535
+
+
+def write_pgm(path, image) -> None:
+    """Write a (1, 1, H, W) or (H, W) array in [0, 1] as a 16-bit P5 file."""
     arr = np.asarray(image, dtype=float)
     if arr.ndim == 4:
         if arr.shape[0] != 1 or arr.shape[1] != 1:
@@ -24,16 +28,10 @@ def write_pgm(path, image, maxval=65535) -> None:
         arr = arr[0, 0]
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D image, got shape {arr.shape}")
-    if not 1 <= maxval <= 65535:
-        raise ConfigError(f"maxval must be in [1, 65535], got {maxval}")
-    quantized = np.round(np.clip(arr, 0.0, 1.0) * maxval).astype(np.uint16)
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
-    if maxval < 256:
-        payload = quantized.astype(">u1").tobytes()
-    else:
-        payload = quantized.astype(">u2").tobytes()
+    quantized = np.round(np.clip(arr, 0.0, 1.0) * PGM_MAXVAL).astype(">u2")
+    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{PGM_MAXVAL}\n".encode("ascii")
     with open(path, "wb") as fh:
-        fh.write(header + payload)
+        fh.write(header + quantized.tobytes())
 
 
 def _tokens(data: bytes):

@@ -52,7 +52,6 @@ __all__ = [
     "as_tensor4",
     "as_image",
     "signed_impulse_bank",
-    "impulse_image",
     "identity_image",
     "conv2d",
     "conv2d_adjoint",
@@ -113,25 +112,17 @@ def signed_impulse_bank(channels, signs, out_ch=None, size=1) -> np.ndarray:
     return k
 
 
-def impulse_image(n_r, n_c=None) -> np.ndarray:
-    """Image with a single unit pixel at its center."""
-    n_c = n_r if n_c is None else n_c
-    img = np.zeros((1, 1, n_r, n_c))
-    img[0, 0, n_r // 2, n_c // 2] = 1.0
-    return img
-
-
-def identity_image(channels, n_r, n_c=None) -> np.ndarray:
+def identity_image(channels, n) -> np.ndarray:
     """Multi-channel convolution identity embedded in an image grid.
 
-    Returns a ``(channels, channels, n_r, n_c)`` tensor whose diagonal
-    entries are centered impulses; convolving a kernel with it embeds the
-    kernel's impulse response at the image center.
+    Returns a ``(channels, channels, n, n)`` tensor whose diagonal entries
+    are centered impulses; convolving a kernel with it embeds the kernel's
+    impulse response at the image center.  One channel gives the unit
+    impulse image.
     """
-    n_c = n_r if n_c is None else n_c
-    out = np.zeros((channels, channels, n_r, n_c))
+    out = np.zeros((channels, channels, n, n))
     for c in range(channels):
-        out[c, c, n_r // 2, n_c // 2] = 1.0
+        out[c, c, n // 2, n // 2] = 1.0
     return out
 
 

@@ -159,8 +159,9 @@ class ToyModel:
         return self.enc_kernels[-1].value, self.dec_kernels[-1].value
 
 
-def build_toy(seed=0, init_mode="independent", bias_mode="learned", widths=TOY_WIDTHS, n_f=3):
-    """Construct the trainable model.
+def build_toy(seed=0, init_mode="independent", bias_mode="learned"):
+    """Construct the trainable model: widths :data:`~fdl.network.TOY_WIDTHS`
+    and 3x3 kernels.
 
     ``independent`` draws encoder and decoder kernels separately from the
     fan-balanced uniform law; ``shared_enc_dec`` copies each encoder
@@ -174,13 +175,13 @@ def build_toy(seed=0, init_mode="independent", bias_mode="learned", widths=TOY_W
         raise ConfigError(f"bias_mode must be one of {BIAS_MODES}, got {bias_mode!r}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    chain = (1,) + tuple(widths)
-    shapes = [(chain[i + 1], chain[i], n_f, n_f) for i in range(len(widths))]
+    chain = (1,) + TOY_WIDTHS
+    shapes = [(c_out, c_in, 3, 3) for c_in, c_out in zip(chain, TOY_WIDTHS)]
     rng = np.random.default_rng((seed, 0))
     trainable_bias = bias_mode == "learned"
 
     if init_mode == "pct_delta":
-        enc_values = [signed_impulse_bank(s[1], (1.0, -1.0), s[0], n_f) for s in shapes]
+        enc_values = [signed_impulse_bank(s[1], (1.0, -1.0), s[0], 3) for s in shapes]
         dec_values = [v.copy() for v in enc_values]
     else:
         enc_values = [xavier_uniform_init(s, rng) for s in shapes]
@@ -191,10 +192,8 @@ def build_toy(seed=0, init_mode="independent", bias_mode="learned", widths=TOY_W
 
     enc_kernels = [ad.Parameter(v) for v in enc_values]
     dec_kernels = [ad.Parameter(v) for v in dec_values]
-    enc_biases = [
-        ad.Parameter(np.zeros(chain[i + 1]), trainable=trainable_bias) for i in range(len(widths))
-    ]
-    dec_biases = [ad.Parameter(np.zeros(chain[i]), trainable=trainable_bias) for i in range(len(widths))]
+    enc_biases = [ad.Parameter(np.zeros(s[0]), trainable=trainable_bias) for s in shapes]
+    dec_biases = [ad.Parameter(np.zeros(s[1]), trainable=trainable_bias) for s in shapes]
     return ToyModel(enc_kernels, enc_biases, dec_kernels, dec_biases)
 
 

@@ -443,7 +443,7 @@ class TestAdam:
         m = [np.zeros(s) for s in shapes]
         v = [np.zeros(s) for s in shapes]
         b1, b2, eps = 0.9, 0.999, 1e-8
-        opt = Adam(params, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam(params)
         for t in range(1, 25):
             lr = 1e-3 * float(rng.uniform(0.1, 2.0))
             for p in params:
@@ -471,13 +471,13 @@ class TestXavier:
     def test_bounds_and_variance(self):
         shape = (10, 10, 1, 100)  # 1e5 draws
         a = xavier_bound(shape)
-        sample = xavier_uniform_init(shape, 123)
+        sample = xavier_uniform_init(shape, np.random.default_rng(123))
         assert np.max(np.abs(sample)) <= a
         assert abs(sample.var() - a**2 / 3.0) < 0.05 * a**2 / 3.0
 
     def test_same_seed_same_tensor(self):
-        a = xavier_uniform_init((6, 1, 3, 3), 42)
-        b = xavier_uniform_init((6, 1, 3, 3), 42)
+        a = xavier_uniform_init((6, 1, 3, 3), np.random.default_rng(42))
+        b = xavier_uniform_init((6, 1, 3, 3), np.random.default_rng(42))
         assert a.tobytes() == b.tobytes()
 
     def test_fan_formula(self):

@@ -151,6 +151,17 @@ class TestDenoiseCommand:
             assert (workdir / "demo" / f"clean_rank{rank}.pgm").exists()
             assert (workdir / "demo" / f"noisy_rank{rank}.pgm").exists()
 
+    def test_reused_run_dir_lists_only_this_run(self, workdir):
+        demo = ["denoise", "clean.pgm", "--method", "svd-lowrank", "--rank", "4,16", "--out", "run"]
+        assert run_cli(demo, cwd=workdir).returncode == 0
+        result = run_cli(["denoise", "noisy.pgm", "--out", "run"], cwd=workdir)
+        assert result.returncode == 0, result.stderr
+        manifest = json.loads((workdir / "run" / "manifest.json").read_text())
+        assert manifest["outputs"] == ["denoised.pgm", "metrics.json"]
+        # the earlier run's files stay in place
+        assert (workdir / "run" / "snr_table.csv").exists()
+        assert (workdir / "run" / "clean_rank4.pgm").exists()
+
     def test_missing_file_exit_2(self, workdir):
         result = run_cli(["denoise", "absent.pgm"], cwd=workdir)
         assert result.returncode == 2
@@ -313,6 +324,14 @@ class TestTrainCommand:
         fresh = build_toy(seed=5)
         for a, b in zip(loaded.parameters(), fresh.parameters()):
             assert a.value.tobytes() == b.value.tobytes()
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        written = sorted(
+            str(p.relative_to(tmp_path / "run"))
+            for p in (tmp_path / "run").rglob("*")
+            if p.is_file() and p.name != "manifest.json"
+        )
+        assert manifest["outputs"] == written
+        assert "checkpoint/checkpoint.json" in written and "history.json" in written
 
     def test_env_seed_overrides_config(self, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps(dict(TINY_TRAIN, epochs=0)))

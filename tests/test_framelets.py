@@ -40,6 +40,16 @@ class TestHaarBank:
         basis = haar_dwt().basis()
         assert basis.c == pytest.approx(0.25, abs=1e-12)
 
+    def test_reconstruction_constants_bitwise(self):
+        # every framelet denoise output is scaled by these: a 1-ulp shift moves them all
+        basis = haar_dwt().basis()
+        assert (basis.c.hex(), basis.c_decimated.hex()) == (
+            "0x1.0000000000002p-2",
+            "0x1.0000000000003p+0",
+        )
+        pct = phase_complement(basis)
+        assert (pct.c.hex(), pct.c_decimated) == ("0x1.0000000000000p-1", 2.0)
+
     def test_lowpass_kills_nyquist(self):
         bank = haar_dwt()
         cb = checkerboard(8)
