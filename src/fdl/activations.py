@@ -24,6 +24,7 @@ __all__ = [
     "ActivationSpec",
     "ThresholdParams",
     "SHRINK_KINDS",
+    "DOG_KINDS",
     "ACTIVATION_KINDS",
     "map_threshold",
     "relu_bias",
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 SHRINK_KINDS = ("soft_shrink", "garrote", "dog_shrink", "let")
+DOG_KINDS = ("dog_shrink", "dog_clip")  # the kinds that read the exponent p
 ACTIVATION_KINDS = SHRINK_KINDS + ("relu_bias", "soft_clip", "dog_clip")
 
 
@@ -118,7 +120,7 @@ class ActivationSpec:
         if self.kind not in ACTIVATION_KINDS:
             raise ConfigError(f"unknown activation kind {self.kind!r}")
         object.__setattr__(self, "t", _as_threshold(self.t))
-        if self.kind in ("dog_shrink", "dog_clip"):
+        if self.kind in DOG_KINDS:
             if self.p % 2 or self.p < 2:
                 raise ConfigError(f"DoG exponent must be even and >= 2, got {self.p}")
         if self.kind == "let":
@@ -134,6 +136,23 @@ class ActivationSpec:
     @property
     def is_shrink(self) -> bool:
         return self.kind in SHRINK_KINDS
+
+    @property
+    def is_identity(self) -> bool:
+        """Whether every threshold sits at the pass-through limit of
+        :meth:`neutral`; a rectifier never passes its input unchanged."""
+        if self.kind == "let":
+            return all(member.is_identity for _, member in self.members)
+        return self.kind != "relu_bias" and bool(np.all(np.asarray(self.t) == self.neutral().t))
+
+    def neutral(self) -> "ActivationSpec":
+        """The family's pass-through limit: soft shrinkage at t = 0, or soft
+        clipping at t = inf; a rectifier keeps its kink at t = 0."""
+        if self.kind == "relu_bias":
+            return ActivationSpec("relu_bias", t=0.0)
+        if self.is_shrink:
+            return ActivationSpec("soft_shrink", t=0.0)
+        return ActivationSpec("soft_clip", t=np.inf)
 
 
 def relu_bias(z, t=0.0):
@@ -233,7 +252,7 @@ def activation_derivative(spec: ActivationSpec, z):
         with np.errstate(divide="ignore", invalid="ignore"):
             inner = 1.0 + tb * tb / (z * z)
         return np.where(np.abs(z) > tb, inner, 0.0)
-    if spec.kind in ("dog_shrink", "dog_clip"):
+    if spec.kind in DOG_KINDS:
         with np.errstate(divide="ignore", over="ignore"):
             ratio = np.where(tb == 0.0, np.inf, np.abs(z) / np.where(tb == 0.0, 1.0, tb))
             rp = ratio**spec.p

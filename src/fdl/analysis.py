@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .activations import ActivationSpec
 from .errors import ConfigError, ShapeError
 from .framelets import check_phase_complementary
 from .network import (
@@ -114,16 +113,6 @@ def _pair_convs(spec: NetworkSpec):
     return pairs, modes
 
 
-def _neutral_activation(spec: ActivationSpec) -> ActivationSpec:
-    """Activation with its suppression disabled (thresholds to the
-    pass-through limit); rectifiers keep their kink."""
-    if spec.kind == "relu_bias":
-        return ActivationSpec("relu_bias", t=0.0)
-    if spec.is_shrink:
-        return ActivationSpec("soft_shrink", t=0.0)
-    return ActivationSpec("soft_clip", t=np.inf)
-
-
 def ideal_instantiation(spec: NetworkSpec) -> Network:
     """Bind ideal reconstruction filters to ``spec`` without its identity
     shortcuts.
@@ -157,7 +146,7 @@ def ideal_instantiation(spec: NetworkSpec) -> Network:
                 weights.append((tensor_transpose(banks[pairs[idx]]), None))
             layer = replace(layer, bias=False)
         elif isinstance(layer, Activation):
-            layer = replace(layer, spec=_neutral_activation(layer.spec))
+            layer = replace(layer, spec=layer.spec.neutral())
         elif isinstance(layer, SkipAdd):
             layer = replace(layer, from_=new[layer.from_])
         layers.append(replace(layer, source=src))
@@ -218,18 +207,6 @@ def pr_analyze(spec: NetworkSpec) -> PRReport:
 # ---------------------------------------------------------------------------
 
 
-def _is_identity_activation(spec: ActivationSpec) -> bool:
-    thresholds = [spec.t] if spec.kind != "let" else [m.t for _, m in spec.members]
-    flat = []
-    for t in thresholds:
-        flat.extend([t] if np.isscalar(t) else list(t))
-    if spec.kind in ("soft_shrink", "garrote", "dog_shrink", "let"):
-        return all(t == 0.0 for t in flat)
-    if spec.kind in ("soft_clip", "dog_clip"):
-        return all(np.isinf(t) for t in flat)
-    return False
-
-
 def equivalent_filter(net: Network, grid=None) -> np.ndarray:
     """Composite impulse response of a linear(-izable) chain network.
 
@@ -268,7 +245,7 @@ def equivalent_filter(net: Network, grid=None) -> np.ndarray:
         if kind == "conv":
             reduced.append((kind, payload))
             continue
-        if _is_identity_activation(payload):
+        if payload.is_identity:
             continue
         if payload.kind == "relu_bias" and np.isscalar(payload.t) and payload.t == 0.0:
             nxt = next(rest, None)

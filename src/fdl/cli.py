@@ -114,6 +114,7 @@ def _build_parser():
     p.add_argument("--zero-bias", action="store_true")
     p.add_argument("--reference", help="clean reference image for SNR metrics")
     p.add_argument("--out", help="run directory (default runs/denoise)")
+    p.set_defaults(default_of=p.get_default)
 
     p = sub.add_parser("analyze-pr", help="perfect-reconstruction analysis of a network spec")
     p.add_argument("spec", help="spec JSON path or bundled name (unet, red, lwfsn, rlwfsn, toy)")
@@ -240,17 +241,32 @@ def _read_input_image(path):
         raise _IoError(f"cannot parse {path}: {exc}") from exc
 
 
+# The denoise flags each method reads; any other must keep its default.  The
+# per-rank demo takes its input as the clean image: it reads no --reference.
+_DENOISE_READS = {
+    "wavelet-shrink": ("threshold", "activation", "undecimated", "reference"),
+    "svd-lowrank": ("rank", "reference"),
+    "svd-lowrank with a --rank list": ("rank", "sigma"),
+    "model": ("checkpoint", "bias_scale", "zero_bias", "reference"),
+}
+
+
 def _cmd_denoise(args, argv):
     import numpy as np
 
     from fdl.activations import ActivationSpec
     from fdl.errors import ConfigError
     from fdl.framelets import denoise_framelet, detail_band_mask, framelet_forward, haar_dwt
-    from fdl.lowrank import lowrank_approx, svd
+    from fdl.lowrank import lowrank_approx, lowrank_denoise_demo, svd
     from fdl.metrics import estimate_sigma_mad, snr_db
     from fdl.tensor import as_image
 
     started = time.time()
+    demo = args.method == "svd-lowrank" and "," in (args.rank or "")
+    method = "svd-lowrank with a --rank list" if demo else args.method
+    for dest in sum(_DENOISE_READS.values(), ()):
+        if dest not in _DENOISE_READS[method] and getattr(args, dest) != args.default_of(dest):
+            raise CommandLineError(f"--{dest.replace('_', '-')} is not read by --method {method}")
     y = as_image(_read_input_image(args.input), "input image")
     params = {"method": args.method}
     out = None  # stays None for the per-rank demo, which writes its own images
@@ -270,8 +286,10 @@ def _cmd_denoise(args, argv):
         else:
             try:
                 t = float(args.threshold)
-            except ValueError as exc:
-                raise ConfigError(f"--threshold must be a number or 'auto', got {args.threshold!r}") from exc
+            except ValueError:
+                t = np.nan
+            if not np.isfinite(t):
+                raise ConfigError(f"--threshold must be a finite number or 'auto', got {args.threshold!r}")
             params.update(threshold=t)
         params.update(activation=args.activation, decimated=decimated)
         out = denoise_framelet(basis, y, ActivationSpec(args.activation, t=t), decimated=decimated)
@@ -282,20 +300,17 @@ def _cmd_denoise(args, argv):
             ranks = [int(r) for r in str(args.rank).split(",")]
         except ValueError as exc:
             raise ConfigError(f"--rank must be an integer or comma list, got {args.rank!r}") from exc
-        if len(ranks) > 1:
-            # per-rank demo: the input is treated as the clean reference
-            from fdl.lowrank import lowrank_denoise_demo
-
-            demo = lowrank_denoise_demo(y, sigma=args.sigma, ranks=ranks, seed=0)
+        if demo:
+            report = lowrank_denoise_demo(y, sigma=args.sigma, ranks=ranks, seed=0)
             params = {
                 "method": "svd-lowrank-demo",
                 "ranks": ranks,
                 "sigma": args.sigma,
-                "snr_noisy_input_db": demo.snr_noisy_input,
-                "snr_clean_recon_db": list(demo.snr_clean),
-                "snr_noisy_recon_db": list(demo.snr_noisy),
+                "snr_noisy_input_db": report.snr_noisy_input,
+                "snr_clean_recon_db": list(report.snr_clean),
+                "snr_noisy_recon_db": list(report.snr_noisy),
             }
-            images = demo.files()
+            images = report.files()
         else:
             factors = svd(y[0, 0])
             out = lowrank_approx(factors, ranks[0])[None, None]

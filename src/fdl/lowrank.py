@@ -46,13 +46,12 @@ def svd(y) -> SVDFactors:
         raise NumericError("matrix contains NaN or Inf")
     u, s, vh = np.linalg.svd(y, full_matrices=False)
     v = vh.T.copy()
-    scale = max(1.0, float(np.max(np.abs(u))))
-    for n in range(s.size):
-        col = u[:, n]
-        nonzero = np.nonzero(np.abs(col) > 1e-12 * scale)[0]
-        if nonzero.size and col[nonzero[0]] < 0:
-            u[:, n] = -col
-            v[:, n] = -v[:, n]
+    significant = np.abs(u) > 1e-12 * max(1.0, float(np.max(np.abs(u))))
+    first = np.argmax(significant, axis=0)  # row 0 in a column with no such entry
+    cols = np.arange(s.size)
+    flip = significant[first, cols] & (u[first, cols] < 0)
+    u[:, flip] = -u[:, flip]
+    v[:, flip] = -v[:, flip]
     return SVDFactors(u=u, v=v, sigma=s)
 
 

@@ -26,13 +26,13 @@ and evaluates it on images with the tensor runtime.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from numbers import Integral, Real
 from types import SimpleNamespace
 
 import numpy as np
 
-from .activations import ActivationSpec, apply_activation
+from .activations import DOG_KINDS, ActivationSpec, apply_activation
 from .errors import ConfigError, ShapeError, is_kind
 from .framelets import haar_dwt
 from .tensor import as_tensor4, bank_down, bank_up, conv2d
@@ -212,6 +212,10 @@ def validate_spec(spec: NetworkSpec) -> list:
 # ---------------------------------------------------------------------------
 
 
+# The zero-threshold rectifier layer that every rectified design uses.
+_RELU = Activation(ActivationSpec("relu_bias", t=0.0))
+
+
 def build_unet(c0, c1, n_f=3, residual=False) -> NetworkSpec:
     """Two-path single-level U-Net.
 
@@ -220,16 +224,15 @@ def build_unet(c0, c1, n_f=3, residual=False) -> NetworkSpec:
     two decoder heads are summed.  ``residual=True`` gives the
     residual-wrapped variant that estimates noise instead of signal.
     """
-    relu_ = Activation(ActivationSpec("relu_bias", t=0.0))
     layers = (
         Conv(c0, 1, n_f, bias=True),            # 0: encoder
-        relu_,                                   # 1
+        _RELU,                                   # 1
         Conv(1, c0, n_f, bias=False),            # 2: full-resolution decoder head
         Resample("down", "dwt_low", source=1),   # 3: low-band pooling
         Conv(c1, c0, n_f, bias=True),            # 4: inner encoder
-        relu_,                                   # 5
+        _RELU,                                   # 5
         Conv(c0, c1, n_f, bias=True),            # 6: inner decoder
-        relu_,                                   # 7
+        _RELU,                                   # 7
         Resample("up", "dwt_low"),               # 8
         Conv(1, c0, n_f, bias=False),            # 9: pooled-path decoder head
         SkipAdd(from_=2),                        # 10: sum the two heads
@@ -244,17 +247,16 @@ def build_red(c0, c1, n_f=3) -> NetworkSpec:
     its input back before a rectifier, and the final rectified shortcut
     from the network input makes the output nonnegative by construction.
     """
-    relu_ = Activation(ActivationSpec("relu_bias", t=0.0))
     layers = (
         Conv(c0, 1, n_f, bias=False),            # 0: outer encoder
         Conv(c1, c0, n_f, bias=True),            # 1: inner encoder
-        relu_,                                   # 2
+        _RELU,                                   # 2
         Conv(c0, c1, n_f, bias=True),            # 3: inner decoder
         SkipAdd(from_=0, residual=True),         # 4: inner shortcut
-        relu_,                                   # 5
+        _RELU,                                   # 5
         Conv(1, c0, n_f, bias=True),             # 6: outer decoder
         SkipAdd(from_=-1, residual=True),        # 7: shortcut from the input
-        relu_,                                   # 8
+        _RELU,                                   # 8
     )
     return NetworkSpec(layers=layers, name="red")
 
@@ -307,13 +309,12 @@ def build_rlwfsn(c0, n_f=3, act: ActivationSpec | None = None) -> NetworkSpec:
 def build_toy_spec(widths=TOY_WIDTHS, n_f=3) -> NetworkSpec:
     """Declarative form of the three-level training model (no resampling,
     rectifiers throughout, symmetric decoder)."""
-    relu_ = Activation(ActivationSpec("relu_bias", t=0.0))
     layers = []
     chain = (1,) + tuple(widths)
     for c_in, c_out in zip(chain[:-1], chain[1:]):
-        layers += [Conv(c_out, c_in, n_f, bias=True), relu_]
+        layers += [Conv(c_out, c_in, n_f, bias=True), _RELU]
     for c_in, c_out in zip(chain[:0:-1], chain[-2::-1]):
-        layers += [Conv(c_out, c_in, n_f, bias=True), relu_]
+        layers += [Conv(c_out, c_in, n_f, bias=True), _RELU]
     return NetworkSpec(layers=tuple(layers), name="toy")
 
 
@@ -328,7 +329,7 @@ def _act_to_json(spec: ActivationSpec) -> dict:
         out["members"] = [[w, _act_to_json(m)] for w, m in spec.members]
     else:
         out["t"] = spec.t if np.isscalar(spec.t) else list(spec.t)
-        if spec.kind in ("dog_shrink", "dog_clip"):
+        if spec.kind in DOG_KINDS:
             out["p"] = spec.p
     return out
 
@@ -340,14 +341,14 @@ def _object(payload, what) -> dict:
 
 
 _KIND_NAMES = {Integral: "an integer", Real: "a number", bool: "a boolean", str: "a string"}
-_REQUIRED = object()
 
 
-def _field(entry: dict, key, kind, default=_REQUIRED):
-    """``entry[key]``, or ``default`` when it is absent and optional,
-    checked against the kind rule of :func:`fdl.errors.is_kind`."""
-    value = entry[key] if default is _REQUIRED else entry.get(key, default)
-    if not is_kind(value, kind):
+def _field(entry: dict, key, kind, default=MISSING):
+    """``entry[key]``, or ``default`` when it is absent and optional.  A kind
+    of ``_KIND_NAMES`` is checked by the rule of :func:`fdl.errors.is_kind`;
+    any other (a nested activation, a layer reference) is checked elsewhere."""
+    value = entry[key] if default is MISSING else entry.get(key, default)
+    if kind in _KIND_NAMES and not is_kind(value, kind):
         raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
@@ -361,31 +362,39 @@ def _act_from_json(payload: dict) -> ActivationSpec:
                 raise ConfigError(f"let weight must be a number, got {w!r}")
             members.append((float(w), _act_from_json(m)))
         return ActivationSpec("let", members=tuple(members))
-    t = payload.get("t", 0.0)
+    t = payload.get("t", ActivationSpec.t)
     if not (is_kind(t, Real) or isinstance(t, list) and all(is_kind(v, Real) for v in t)):
         raise ConfigError(f"t must be a number or a list of numbers, got {t!r}")
-    return ActivationSpec(kind, t=t, p=_field(payload, "p", Integral, 2))
+    return ActivationSpec(kind, t=t, p=_field(payload, "p", Integral, ActivationSpec.p))
+
+
+# The JSON form of each layer type: its "type" name, then the key and kind of
+# each dataclass field but the last (``source``), in field order; a field the
+# dataclass gives no default is required.  ActivationSpec marks a nested
+# activation object, and None a layer reference that validate_spec checks.
+_LAYER_JSON = {
+    Conv: ("conv", (("out_ch", Integral), ("in_ch", Integral), ("n_f", Integral), ("bias", bool))),
+    Activation: ("activation", (("activation", ActivationSpec),)),
+    Resample: ("resample", (("direction", str), ("kind", str))),
+    SkipAdd: ("skip_add", (("from", None), ("residual", bool))),
+}
+# layer class -> ("type" name, (JSON key, attribute, kind, default) per field)
+_LAYER_SCHEMA = {
+    cls: (name, tuple((key, f.name, kind, f.default)
+                      for (key, kind), f in zip(keys, fields(cls)[:-1], strict=True)))
+    for cls, (name, keys) in _LAYER_JSON.items()
+}
+_LAYER_TYPES = {name: (cls, schema) for cls, (name, schema) in _LAYER_SCHEMA.items()}
 
 
 def spec_to_json(spec: NetworkSpec) -> dict:
     layers = []
     for layer in spec.layers:
-        if isinstance(layer, Conv):
-            entry = {
-                "type": "conv",
-                "out_ch": layer.out_ch,
-                "in_ch": layer.in_ch,
-                "n_f": layer.n_f,
-                "bias": layer.bias,
-            }
-        elif isinstance(layer, Activation):
-            entry = {"type": "activation", "activation": _act_to_json(layer.spec)}
-        elif isinstance(layer, Resample):
-            entry = {"type": "resample", "direction": layer.direction, "kind": layer.kind}
-        elif isinstance(layer, SkipAdd):
-            entry = {"type": "skip_add", "from": layer.from_, "residual": layer.residual}
-        else:  # pragma: no cover - validate_spec rejects these earlier
-            raise ConfigError(f"unknown layer type {type(layer).__name__}")
+        name, schema = _LAYER_SCHEMA[type(layer)]
+        entry = {"type": name}
+        for key, attr, kind, _ in schema:
+            value = getattr(layer, attr)
+            entry[key] = _act_to_json(value) if kind is ActivationSpec else value
         if layer.source is not None:
             entry["source"] = layer.source
         layers.append(entry)
@@ -405,41 +414,18 @@ def spec_from_json(payload: dict) -> NetworkSpec:
     for idx, entry in enumerate(entries):
         if not isinstance(entry, dict) or "type" not in entry:
             raise ConfigError(f"layer {idx}: expected an object with a 'type' field")
-        kind = entry["type"]
-        source = entry.get("source")
+        name = entry["type"]
         try:
-            if kind == "conv":
-                layers.append(
-                    Conv(
-                        out_ch=_field(entry, "out_ch", Integral),
-                        in_ch=_field(entry, "in_ch", Integral),
-                        n_f=_field(entry, "n_f", Integral, 3),
-                        bias=_field(entry, "bias", bool, True),
-                        source=source,
-                    )
-                )
-            elif kind == "activation":
-                layers.append(Activation(_act_from_json(entry["activation"]), source=source))
-            elif kind == "resample":
-                if _field(entry, "s", Integral, 2) != 2:
-                    raise ConfigError(f"resampling factor must be 2, got {entry['s']}")
-                layers.append(
-                    Resample(
-                        direction=_field(entry, "direction", str),
-                        kind=_field(entry, "kind", str, "plain"),
-                        source=source,
-                    )
-                )
-            elif kind == "skip_add":
-                layers.append(
-                    SkipAdd(
-                        from_=entry["from"],
-                        residual=_field(entry, "residual", bool, False),
-                        source=source,
-                    )
-                )
-            else:
-                raise ConfigError(f"unknown layer type {kind!r}")
+            if not isinstance(name, str) or name not in _LAYER_TYPES:
+                raise ConfigError(f"unknown layer type {name!r}")
+            cls, schema = _LAYER_TYPES[name]
+            if cls is Resample and _field(entry, "s", Integral, 2) != 2:
+                raise ConfigError(f"resampling factor must be 2, got {entry['s']}")
+            values = {"source": entry.get("source")}
+            for key, attr, kind, default in schema:
+                value = _field(entry, key, kind, default)
+                values[attr] = _act_from_json(value) if kind is ActivationSpec else value
+            layers.append(cls(**values))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"layer {idx}: {exc}") from exc
     try:

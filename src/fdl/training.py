@@ -51,6 +51,15 @@ _FIELD_KINDS = {
 _PAIR_FIELDS = ("image_size", "triangles_per_image", "intensity_range")
 
 
+def _check_model_args(seed, init_mode, bias_mode):
+    if init_mode not in INIT_MODES:
+        raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {init_mode!r}")
+    if bias_mode not in BIAS_MODES:
+        raise ConfigError(f"bias_mode must be one of {BIAS_MODES}, got {bias_mode!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Training protocol; the learning rate decays linearly to zero."""
@@ -85,10 +94,7 @@ class TrainConfig:
             raise ConfigError(f"image_size entries must be >= 1, got {list(self.image_size)}")
         if self.lr_initial <= 0:
             raise ConfigError(f"lr_initial must be positive, got {self.lr_initial}")
-        if self.init_mode not in INIT_MODES:
-            raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}")
-        if self.bias_mode not in BIAS_MODES:
-            raise ConfigError(f"bias_mode must be one of {BIAS_MODES}, got {self.bias_mode!r}")
+        _check_model_args(self.seed, self.init_mode, self.bias_mode)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -169,12 +175,7 @@ def build_toy(seed=0, init_mode="independent", bias_mode="learned"):
     sign-duplicated impulse pairs (zero biases), which reconstruct any
     nonnegative input exactly.
     """
-    if init_mode not in INIT_MODES:
-        raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {init_mode!r}")
-    if bias_mode not in BIAS_MODES:
-        raise ConfigError(f"bias_mode must be one of {BIAS_MODES}, got {bias_mode!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    _check_model_args(seed, init_mode, bias_mode)
     chain = (1,) + TOY_WIDTHS
     shapes = [(c_out, c_in, 3, 3) for c_in, c_out in zip(chain, TOY_WIDTHS)]
     rng = np.random.default_rng((seed, 0))

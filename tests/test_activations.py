@@ -5,6 +5,7 @@ import pytest
 
 from fdl import tensor
 from fdl.activations import (
+    ACTIVATION_KINDS,
     ActivationSpec,
     ThresholdParams,
     activation_derivative,
@@ -20,6 +21,22 @@ from fdl.activations import (
     soft_shrink,
 )
 from fdl.errors import ConfigError
+
+
+# The threshold at which each kind passes its input unchanged; None for the
+# rectifier, which never does.
+PASS_THROUGH_LIMIT = {
+    "soft_shrink": 0.0, "garrote": 0.0, "dog_shrink": 0.0, "let": 0.0,
+    "relu_bias": None, "soft_clip": np.inf, "dog_clip": np.inf,
+}
+
+
+def _with_threshold(kind, t):
+    """An activation of ``kind`` whose every threshold is ``t``."""
+    if kind == "let":
+        members = ((0.5, ActivationSpec("soft_shrink", t=t)), (0.5, ActivationSpec("dog_shrink", t=t)))
+        return ActivationSpec("let", members=members)
+    return ActivationSpec(kind, t=t, p=4)
 
 
 class TestMapThreshold:
@@ -197,6 +214,31 @@ class TestSpec:
         assert ActivationSpec("soft_shrink", t=0.1).is_shrink
         assert not ActivationSpec("soft_clip", t=0.1).is_shrink
         assert not ActivationSpec("relu_bias", t=0.0).is_shrink
+
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    def test_neutral_passes_input_through(self, kind):
+        z = np.random.default_rng(12).normal(size=(2, 1, 5, 5))
+        want = np.maximum(z, 0.0) if kind == "relu_bias" else z
+        for t in (0.0, 0.7, np.inf, (0.0, 0.3)):
+            neutral = _with_threshold(kind, t).neutral()
+            np.testing.assert_array_equal(apply_activation(neutral, z), want)
+            assert neutral.is_identity is (kind != "relu_bias")
+
+    def test_nested_let_is_identity_only_when_its_members_are(self):
+        inner = ActivationSpec("let", members=((1.0, ActivationSpec("soft_shrink", t=0.5)),))
+        assert not ActivationSpec("let", members=((1.0, inner),)).is_identity
+        assert ActivationSpec("let", members=((1.0, inner.neutral()),)).is_identity
+
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    def test_is_identity_only_at_the_family_limit(self, kind):
+        limit = PASS_THROUGH_LIMIT[kind]
+        z = np.random.default_rng(13).normal(size=(2, 1, 5, 5))
+        for t in (0.0, 0.7, np.inf, (0.0, 0.0), (0.0, np.inf), (np.inf, np.inf)):
+            spec = _with_threshold(kind, t)
+            at_limit = limit is not None and bool(np.all(np.asarray(t) == limit))
+            assert spec.is_identity is at_limit
+            if at_limit:
+                np.testing.assert_allclose(apply_activation(spec, z), z, rtol=1e-15, atol=0)
 
 
 class TestDerivatives:

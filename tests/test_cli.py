@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, outputs, determinism, image I/O."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -171,6 +172,59 @@ class TestDenoiseCommand:
         assert result.returncode == 3
         result = run_cli(["denoise", "noisy.pgm", "--threshold", "nope"], cwd=workdir)
         assert result.returncode == 3
+
+    @pytest.mark.parametrize(
+        "args, flag, method",
+        [
+            (["--method", "svd-lowrank", "--rank", "2,3", "--reference", "clean.pgm"],
+             "--reference", "svd-lowrank with a --rank list"),
+            (["--rank", "3", "--sigma", "0.3", "--zero-bias", "--threshold", "0.5"],
+             "--rank", "wavelet-shrink"),
+            (["--method", "svd-lowrank", "--rank", "8", "--threshold", "0.5"],
+             "--threshold", "svd-lowrank"),
+            (["--method", "svd-lowrank", "--rank", "8", "--activation", "garrote"],
+             "--activation", "svd-lowrank"),
+            (["--method", "model", "--checkpoint", "ckpt", "--undecimated"],
+             "--undecimated", "model"),
+            (["--method", "model", "--checkpoint", "ckpt", "--rank", "8"], "--rank", "model"),
+            (["--method", "svd-lowrank", "--rank", "8", "--sigma", "0.3"], "--sigma", "svd-lowrank"),
+            (["--sigma", "0.2"], "--sigma", "wavelet-shrink"),
+            (["--checkpoint", "ckpt"], "--checkpoint", "wavelet-shrink"),
+            (["--method", "svd-lowrank", "--rank", "8", "--bias-scale", "0.5"],
+             "--bias-scale", "svd-lowrank"),
+            (["--method", "svd-lowrank", "--rank", "2,3", "--zero-bias"],
+             "--zero-bias", "svd-lowrank with a --rank list"),
+        ],
+        ids=["demo-reference", "wavelet-rank", "svd-threshold", "svd-activation",
+             "model-undecimated", "model-rank", "svd-sigma", "wavelet-sigma",
+             "wavelet-checkpoint", "svd-bias-scale", "demo-zero-bias"],
+    )
+    def test_flag_the_method_does_not_read_exit_3(self, workdir, args, flag, method):
+        # the input does not exist: the flags are checked before it is read
+        result = run_cli(["denoise", "absent.pgm", *args, "--out", "out"], cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr == f"fdl: {flag} is not read by --method {method}\n"
+        assert not (workdir / "out").exists()
+
+    def test_flag_at_its_default_is_accepted(self, workdir):
+        args = ["--method", "svd-lowrank", "--rank", "8", "--sigma", "0.1", "--threshold", "auto"]
+        result = run_cli(["denoise", "noisy.pgm", *args, "--out", "out"], cwd=workdir)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold_exit_3(self, workdir, value):
+        result = run_cli(["denoise", "noisy.pgm", "--threshold", value, "--out", "out"], cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr == f"fdl: --threshold must be a finite number or 'auto', got {value!r}\n"
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.skipif(importlib.util.find_spec("PIL") is not None, reason="Pillow is installed")
+    def test_png_without_pillow_exit_2(self, workdir):
+        (workdir / "x.png").write_bytes(b"\x89PNG\r\n\x1a\n")
+        result = run_cli(["denoise", "x.png"], cwd=workdir)
+        assert result.returncode == 2, result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert "cannot parse x.png" in result.stderr and "Pillow" in result.stderr
 
     @pytest.mark.parametrize(
         "data, named",

@@ -245,6 +245,10 @@ class TestTraining:
         with pytest.raises(ConfigError):
             TrainConfig.from_json(payload)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            train(build_toy(seed=0), tiny_cfg(seed=-1))
+
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):

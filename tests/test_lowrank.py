@@ -51,6 +51,17 @@ class TestSvd:
             first = col[np.nonzero(np.abs(col) > 1e-12)[0][0]]
             assert first > 0
 
+    def test_sign_rule_skips_near_zero_leading_entries(self):
+        # A zero first row leaves rounding residue (~1e-16, either sign) in
+        # row 0 of every left singular vector; the sign is set by the first
+        # entry above the tolerance, and v flips with u.
+        rng = np.random.default_rng(0)
+        y = np.vstack([np.zeros((1, 5)), rng.normal(size=(5, 5))])
+        f = svd(y)
+        assert np.max(np.abs(f.u[0])) < 1e-12
+        assert np.all(f.u[1] > 0)
+        np.testing.assert_allclose((f.u * f.sigma) @ f.v.T, y, atol=1e-12)
+
 
 class TestLowRankApprox:
     def test_full_rank_is_exact(self):
