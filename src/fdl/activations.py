@@ -45,17 +45,18 @@ ACTIVATION_KINDS = SHRINK_KINDS + ("relu_bias", "soft_clip", "dog_clip")
 
 
 def _as_threshold(t):
-    """Normalize a threshold to a float or a tuple of per-channel floats."""
+    """Normalize a threshold to a float or a tuple of per-channel floats;
+    NaN fails every check, while +inf (the clipping pass-through) passes."""
     if np.isscalar(t):
         t = float(t)
-        if t < 0:
-            raise ConfigError(f"threshold must be >= 0, got {t}")
+        if not t >= 0:
+            raise ConfigError(f"threshold must be a number >= 0, got {t}")
         return t
     arr = np.asarray(t, dtype=float)
     if arr.ndim != 1:
         raise ConfigError(f"per-channel threshold must be a vector, got shape {arr.shape}")
-    if np.any(arr < 0):
-        raise ConfigError("threshold entries must be >= 0")
+    if not np.all(arr >= 0):
+        raise ConfigError(f"threshold entries must be numbers >= 0, got {arr.tolist()}")
     return tuple(float(v) for v in arr)
 
 
@@ -127,7 +128,7 @@ class ActivationSpec:
             if not self.members:
                 raise ConfigError("let activation needs at least one member")
             weights = [w for w, _ in self.members]
-            if abs(sum(weights) - 1.0) > 1e-9:
+            if not abs(sum(weights) - 1.0) <= 1e-9:  # a NaN or infinite weight fails
                 raise ConfigError(f"let weights must sum to 1, got {sum(weights)}")
             for _, member in self.members:
                 if member.kind not in SHRINK_KINDS:

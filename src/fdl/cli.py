@@ -169,9 +169,7 @@ def _write_file(run_dir, name, payload):
     elif "." not in name:
         from fdl.training import save_checkpoint
 
-        manifest = save_checkpoint(payload, path)
-        entries = _read_json(manifest)["parameters"]
-        return [os.path.join(name, f) for f in ["checkpoint.json"] + [e["file"] for e in entries]]
+        return [os.path.join(name, f) for f in save_checkpoint(payload, path)]
     else:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -318,6 +316,8 @@ def _cmd_denoise(args, argv):
     else:  # model
         if not args.checkpoint:
             raise ConfigError("model method needs --checkpoint")
+        if not np.isfinite(args.bias_scale):
+            raise ConfigError(f"--bias-scale must be a finite number, got {args.bias_scale}")
         from fdl.training import load_checkpoint
 
         model = load_checkpoint(args.checkpoint)

@@ -7,6 +7,7 @@ for the classic photographic test images, which cannot be bundled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_eta < 0:
-            raise ConfigError(f"sigma_eta must be >= 0, got {self.sigma_eta}")
+        if not 0 <= self.sigma_eta < math.inf:
+            raise ConfigError(f"sigma_eta must be finite and >= 0, got {self.sigma_eta}")
 
 
 def add_noise(x, model: NoiseModel) -> np.ndarray:

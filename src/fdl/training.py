@@ -42,7 +42,7 @@ __all__ = [
 
 INIT_MODES = ("independent", "shared_enc_dec", "pct_delta")
 BIAS_MODES = ("learned", "zero_fixed")
-# Kind of each numeric config field; a pair field holds two values of its kind.
+# Kind of each numeric config field; a pair field holds two finite values of its kind.
 _FIELD_KINDS = {
     "epochs": Integral, "images_per_epoch": Integral, "seed": Integral,
     "n_validation": Integral, "lr_initial": Real, "sigma_train": Real,
@@ -80,10 +80,11 @@ class TrainConfig:
         for name, kind in _FIELD_KINDS.items():
             value, pair = getattr(self, name), name in _PAIR_FIELDS
             values = tuple(value) if pair and isinstance(value, (list, tuple)) else (value,)
-            if len(values) != (2 if pair else 1) or not all(is_kind(v, kind) for v in values):
+            finite = all(is_kind(v, kind) and -math.inf < v < math.inf for v in values)
+            if len(values) != (2 if pair else 1) or not finite:
                 count = "two" if pair else "one"
                 raise ConfigError(
-                    f"training config has a malformed field: {name} needs {count} "
+                    f"training config has a malformed field: {name} needs {count} finite "
                     f"{kind.__name__.lower()} value{'s' if pair else ''}, got {value!r}"
                 )
             if pair:
@@ -211,16 +212,17 @@ class TrainHistory:
         return {"epochs": self.epochs}
 
 
-def _validation_set(cfg: TrainConfig):
-    clean = gen_triangles(
-        TriangleDatasetConfig(
-            n_images=cfg.n_validation,
-            size=cfg.image_size,
-            triangles_per_image=cfg.triangles_per_image,
-            seed=(cfg.seed, 3),
-            intensity_range=cfg.intensity_range,
-        )
+def _triangles(cfg: TrainConfig, n_images, seed):
+    """``n_images`` clean images of the triangle distribution ``cfg`` names."""
+    data = TriangleDatasetConfig(
+        n_images=n_images, size=cfg.image_size, triangles_per_image=cfg.triangles_per_image,
+        seed=seed, intensity_range=cfg.intensity_range,
     )
+    return gen_triangles(data)
+
+
+def _validation_set(cfg: TrainConfig):
+    clean = _triangles(cfg, cfg.n_validation, (cfg.seed, 3))
     noisy = np.stack(
         [
             add_noise(clean[i], NoiseModel(cfg.sigma_train, seed=(cfg.seed, 4, i)))
@@ -244,15 +246,7 @@ def train(model: ToyModel, cfg: TrainConfig) -> TrainHistory:
 
     for epoch in range(cfg.epochs):
         lr = cfg.lr_initial * (1.0 - epoch / cfg.epochs)
-        images = gen_triangles(
-            TriangleDatasetConfig(
-                n_images=cfg.images_per_epoch,
-                size=cfg.image_size,
-                triangles_per_image=cfg.triangles_per_image,
-                seed=(cfg.seed, 1, epoch),
-                intensity_range=cfg.intensity_range,
-            )
-        )
+        images = _triangles(cfg, cfg.images_per_epoch, (cfg.seed, 1, epoch))
         losses = []
         for i in range(cfg.images_per_epoch):
             optimizer.zero_grad()
@@ -284,6 +278,7 @@ def train(model: ToyModel, cfg: TrainConfig) -> TrainHistory:
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_FORMAT = "fdl-checkpoint-v1"
+_MANIFEST_FILE = "checkpoint.json"
 
 
 # parameter groups, in the order of the ToyModel arguments
@@ -297,38 +292,44 @@ def _param_entries(model: ToyModel):
             yield f"{group}_{level}", param
 
 
-def save_checkpoint(model: ToyModel, directory) -> str:
-    """Write the model under ``directory``; returns the manifest path."""
-    os.makedirs(directory, exist_ok=True)
-    entries = []
-    for name, param in _param_entries(model):
-        filename = f"{name}.f64"
-        with open(os.path.join(directory, filename), "wb") as fh:
-            fh.write(param.value.astype("<f8").tobytes())
-        entries.append(
-            {
-                "name": name,
-                "file": filename,
-                "shape": list(param.value.shape),
-                "trainable": param.trainable,
-            }
-        )
-    manifest = {
+def _param_file(name) -> str:
+    return f"{name}.f64"
+
+
+def _manifest(model: ToyModel) -> dict:
+    """The v1 manifest of ``model``: the one statement of the format.  The
+    saver writes it, and the loader accepts only a manifest equal to it."""
+    return {
         "format": CHECKPOINT_FORMAT,
         "bias_mode": "learned" if all(b.trainable for b in model.enc_biases) else "zero_fixed",
         "widths": list(model.widths),
-        "parameters": entries,
+        "parameters": [
+            {"name": name, "file": _param_file(name), "shape": list(param.value.shape),
+             "trainable": bool(param.trainable)}
+            for name, param in _param_entries(model)
+        ],
     }
-    path = os.path.join(directory, "checkpoint.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+
+
+def save_checkpoint(model: ToyModel, directory) -> list:
+    """Write the model under ``directory``; returns the names of the files
+    written, relative to ``directory``, the manifest first."""
+    os.makedirs(directory, exist_ok=True)
+    files = [_MANIFEST_FILE]
+    for name, param in _param_entries(model):
+        files.append(_param_file(name))
+        param.value.astype("<f8").tofile(os.path.join(directory, files[-1]))
+    with open(os.path.join(directory, _MANIFEST_FILE), "w", encoding="utf-8") as fh:
+        json.dump(_manifest(model), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    return files
 
 
 def load_checkpoint(directory) -> ToyModel:
-    """Rebuild a model from :func:`save_checkpoint` output."""
-    path = os.path.join(directory, "checkpoint.json")
+    """Rebuild a model from :func:`save_checkpoint` output.  Each parameter
+    is read from its own file name inside ``directory``, and the manifest
+    must be exactly the one :func:`save_checkpoint` writes for the model."""
+    path = os.path.join(directory, _MANIFEST_FILE)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -336,40 +337,31 @@ def load_checkpoint(directory) -> ToyModel:
         raise ConfigError(f"no checkpoint manifest at {path}") from exc
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"cannot parse checkpoint manifest {path}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"checkpoint manifest {path} is not a JSON object")
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"unsupported checkpoint format {manifest.get('format')!r}")
-    values = {}
     try:
-        for entry in manifest["parameters"]:
-            shape, trainable = entry["shape"], entry["trainable"]
-            if not (isinstance(shape, list) and all(is_kind(n, Integral) for n in shape)):
-                raise ConfigError(f"checkpoint {path}: shape {shape!r} is not a list of integers")
-            if not is_kind(trainable, bool):
-                raise ConfigError(f"checkpoint {path}: trainable {trainable!r} is not a boolean")
-            file = os.path.join(directory, entry["file"])
-            got, want = os.path.getsize(file), 8 * math.prod(shape)
-            if got != want:
-                raise ConfigError(
-                    f"checkpoint file {file} holds {got} bytes, shape {shape} needs {want}"
-                )
-            raw = np.fromfile(file, dtype="<f8")
-            values[entry["name"]] = ad.Parameter(raw.reshape(shape), trainable)
+        entries = {entry["name"]: entry for entry in manifest["parameters"]}
         levels = range(len(manifest["widths"]))
-        groups = [[values.pop(f"{group}_{level}") for level in levels] for group in _GROUPS]
-        widths = [k.value.shape[0] for k in groups[0]]
+        groups = [[] for _ in _GROUPS]
+        for group, params in zip(_GROUPS, groups):
+            for name in [f"{group}_{level}" for level in levels]:
+                shape, file = entries[name]["shape"], os.path.join(directory, _param_file(name))
+                got, want = os.path.getsize(file), 8 * math.prod(shape)
+                if got != want:
+                    raise ConfigError(
+                        f"checkpoint file {file} holds {got} bytes, shape {shape} needs {want}"
+                    )
+                raw = np.fromfile(file, dtype="<f8").reshape(shape)
+                params.append(ad.Parameter(raw, entries[name]["trainable"]))
+        model = ToyModel(*groups)
     except ConfigError:
         raise
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path} has no entry {exc.args[0]}") from exc
     except OSError as exc:
-        raise ConfigError(f"checkpoint {path} names an unreadable file: {exc}") from exc
+        raise ConfigError(f"checkpoint {path}: cannot read a parameter file: {exc}") from exc
     except (TypeError, ValueError, IndexError) as exc:  # a field of the wrong type
         raise ConfigError(f"checkpoint {path} has a malformed field: {exc}") from exc
-    if values or not widths or manifest["widths"] != widths:
+    if json.dumps(manifest, sort_keys=True) != json.dumps(_manifest(model), sort_keys=True):
         raise ConfigError(
-            f"checkpoint {path}: widths {manifest['widths']!r} do not match its parameters "
-            f"(encoder widths {widths}, unused entries {list(values)})"
+            f"checkpoint {path} is not the {CHECKPOINT_FORMAT} manifest of its parameters"
         )
-    return ToyModel(*groups)
+    return model

@@ -89,6 +89,17 @@ class TestThreadPinning:
         assert result.stderr == want
         assert result.stdout == ""
 
+    def test_cli_import_leaves_numpy_unloaded(self, tmp_path):
+        # main() pins the BLAS threads before numpy loads, so importing the
+        # package and its CLI must not load numpy
+        code = "import sys, fdl, fdl.cli; print('numpy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+            env=cli_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n"
+
 
 class TestDenoiseCommand:
     def test_wavelet_zero_threshold_is_identity(self, workdir):
@@ -218,6 +229,27 @@ class TestDenoiseCommand:
         assert result.stderr == f"fdl: --threshold must be a finite number or 'auto', got {value!r}\n"
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--method", "svd-lowrank", "--rank", "2,4", "--sigma", "nan"],
+             "sigma_eta must be finite and >= 0, got nan"),
+            (["--method", "model", "--checkpoint", "ckpt", "--bias-scale", "nan"],
+             "--bias-scale must be a finite number, got nan"),
+            (["--method", "model", "--checkpoint", "ckpt", "--bias-scale", "inf"],
+             "--bias-scale must be a finite number, got inf"),
+        ],
+        ids=["demo-sigma-nan", "model-bias-scale-nan", "model-bias-scale-inf"],
+    )
+    def test_non_finite_number_exit_3(self, workdir, args, message):
+        from fdl.training import build_toy, save_checkpoint
+
+        save_checkpoint(build_toy(seed=0), workdir / "ckpt")
+        result = run_cli(["denoise", "noisy.pgm", *args, "--out", "out"], cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr == f"fdl: {message}\n"
+        assert not (workdir / "out").exists()
+
     @pytest.mark.skipif(importlib.util.find_spec("PIL") is not None, reason="Pillow is installed")
     def test_png_without_pillow_exit_2(self, workdir):
         (workdir / "x.png").write_bytes(b"\x89PNG\r\n\x1a\n")
@@ -296,6 +328,10 @@ class TestAnalyzeAndFlops:
         half_resolution = [enc, relu, down, dec]
         factor_four = [enc, dict(down, kind="plain", s=4), dict(up, kind="plain", s=4), dec]
         bad_let = {"kind": "let", "members": [[1.0, 5]]}
+        nan, inf = float("nan"), float("inf")
+        soft = {"kind": "soft_shrink", "t": 0.1}
+        nan_let = {"kind": "let", "members": [[nan, soft]]}
+        infinite_let = {"kind": "let", "members": [[inf, soft], [-inf, soft], [1.0, soft]]}
         valid = [enc, relu, dec]
         cases = [  # (spec, what stderr names)
             ([enc, relu, dec], "spec must be a JSON object"),
@@ -316,6 +352,15 @@ class TestAnalyzeAndFlops:
              "layer 1: p"),
             ({"layers": [enc, dict(relu, activation={"kind": "relu_bias", "t": "0.5"}), dec]},
              "layer 1: t"),
+            # NaN passes every "< 0" test; Python's json reads the NaN literal
+            ({"layers": [enc, dict(relu, activation={"kind": "relu_bias", "t": nan}), dec]},
+             "layer 1: threshold must be a number >= 0, got nan"),
+            ({"layers": [enc, dict(relu, activation={"kind": "relu_bias", "t": [0.1, nan]}), dec]},
+             "layer 1: threshold entries must be numbers >= 0, got [0.1, nan]"),
+            ({"layers": [enc, dict(relu, activation=nan_let), dec]},
+             "layer 1: let weights must sum to 1, got nan"),
+            ({"layers": [enc, dict(relu, activation=infinite_let), dec]},
+             "layer 1: let weights must sum to 1, got nan"),
         ]
         for i, (payload, named) in enumerate(cases):
             bad = tmp_path / f"bad{i}.json"
@@ -432,9 +477,12 @@ class TestTrainCommand:
             ("n_validation", -1, "n_validation must be >= 0"),
             ("batch_size", 1, "unknown training config fields: ['batch_size']"),
             ("triangles_per_image", [-1, 2], "bad triangle count range (-1, 2)"),
+            ("lr_initial", float("nan"), "lr_initial needs one finite real value, got nan"),
+            ("lr_initial", float("inf"), "lr_initial needs one finite real value, got inf"),
+            ("sigma_train", float("nan"), "sigma_train needs one finite real value, got nan"),
         ],
         ids=["image_size-negative", "n_validation-negative", "batch_size-unknown",
-             "triangles_per_image-negative"],
+             "triangles_per_image-negative", "lr_initial-nan", "lr_initial-inf", "sigma_train-nan"],
     )
     def test_out_of_range_config_exit_3(self, tmp_path, field, value, named):
         (tmp_path / "cfg.json").write_text(json.dumps(dict(TINY_TRAIN, **{field: value})))
@@ -540,6 +588,33 @@ class TestDamagedCheckpoint:
         assert result.returncode == 3, result.stderr
         assert "checkpoint" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda m: {
+                **m, "parameters": [{**e, "file": f"../outside/{e['file']}"} for e in m["parameters"]]
+            },
+            lambda m: {**m, "note": "x"},
+            lambda m: {**m, "bias_mode": "zero_fixed"},
+            lambda m: {**m, "parameters": m["parameters"][::-1]},
+            lambda m: {**m, "widths": [6, 12, 24.0]},
+        ],
+        ids=["file-outside", "extra-key", "contradicting-bias-mode", "reordered-parameters",
+             "float-width"],
+    )
+    def test_manifest_fdl_does_not_write_exit_3(self, workdir, checkpoint, damage):
+        from fdl.training import build_toy, save_checkpoint
+
+        # other weights beside the checkpoint, where the file-outside entries point
+        save_checkpoint(build_toy(seed=1), workdir / "outside")
+        manifest = json.loads((checkpoint / "checkpoint.json").read_text())
+        (checkpoint / "checkpoint.json").write_text(json.dumps(damage(manifest)))
+        result = self.denoise(workdir)
+        assert result.returncode == 3, result.stderr
+        assert "is not the fdl-checkpoint-v1 manifest of its parameters" in result.stderr
+        assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
+        assert not (workdir / "den").exists()
 
 
 def tree_bytes(root, skip=("manifest.json",)):

@@ -1,6 +1,7 @@
 """Datasets, metrics, training loop, and experiment plumbing (fast scale)."""
 
 import json
+import pathlib
 import time
 
 import numpy as np
@@ -55,6 +56,11 @@ class TestTriangles:
 
 
 class TestNoise:
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_negative_or_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="sigma_eta must be finite and >= 0"):
+            NoiseModel(sigma)
+
     def test_zero_sigma_is_identity(self):
         x = piecewise_scene(32)
         np.testing.assert_array_equal(add_noise(x, NoiseModel(0.0, seed=3)), x)
@@ -264,8 +270,8 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("bias_mode", ["learned", "zero_fixed"])
     def test_manifest_bias_mode_follows_trainable_flags(self, tmp_path, bias_mode):
-        manifest = save_checkpoint(build_toy(seed=8, bias_mode=bias_mode), tmp_path)
-        with open(manifest, encoding="utf-8") as fh:
+        save_checkpoint(build_toy(seed=8, bias_mode=bias_mode), tmp_path)
+        with open(tmp_path / "checkpoint.json", encoding="utf-8") as fh:
             assert json.load(fh)["bias_mode"] == bias_mode
         clone = load_checkpoint(tmp_path)
         learned = [b.trainable for b in clone.enc_biases + clone.dec_biases]
@@ -274,6 +280,18 @@ class TestCheckpoints:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ConfigError):
             load_checkpoint(tmp_path)
+
+    def test_v1_manifest_matches_golden_bytes(self, tmp_path):
+        golden = (pathlib.Path(__file__).parent / "data" / "checkpoint_v1.json").read_bytes()
+        model = build_toy(seed=0)
+        files = save_checkpoint(model, tmp_path)
+        assert files[0] == "checkpoint.json"
+        assert sorted(files) == sorted(p.name for p in tmp_path.iterdir())
+        assert (tmp_path / "checkpoint.json").read_bytes() == golden
+        clone = load_checkpoint(tmp_path)
+        for a, b in zip(model.parameters(), clone.parameters(), strict=True):
+            assert a.value.tobytes() == b.value.tobytes()
+            assert a.trainable is b.trainable
 
 
 def micro_experiment_cfg(seed=11):

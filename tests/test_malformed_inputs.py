@@ -5,7 +5,6 @@ exception."""
 import copy
 import importlib.resources as ir
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -102,7 +101,8 @@ def test_seeded_mutations_raise_only_fdl_errors(tmp_path):
             _call(read_image, mutant, failures)
 
     # a v1 checkpoint: mutants of its manifest beside intact parameter files
-    manifest = Path(save_checkpoint(build_toy(seed=0), tmp_path / "ckpt"))
+    save_checkpoint(build_toy(seed=0), tmp_path / "ckpt")
+    manifest = tmp_path / "ckpt" / "checkpoint.json"
     original = manifest.read_bytes()
     mutants = list(_byte_mutants(original, rng, MUTANTS_PER_INPUT))
     for doc in _json_mutants(original.decode("utf-8"), rng, MUTANTS_PER_INPUT):
