@@ -299,6 +299,8 @@ def _cmd_denoise(args, argv):
         except ValueError as exc:
             raise ConfigError(f"--rank must be an integer or comma list, got {args.rank!r}") from exc
         if demo:
+            if not 0 <= args.sigma < np.inf:
+                raise ConfigError(f"--sigma must be a finite number >= 0, got {args.sigma}")
             report = lowrank_denoise_demo(y, sigma=args.sigma, ranks=ranks, seed=0)
             params = {
                 "method": "svd-lowrank-demo",

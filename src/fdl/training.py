@@ -95,6 +95,8 @@ class TrainConfig:
             raise ConfigError(f"image_size entries must be >= 1, got {list(self.image_size)}")
         if self.lr_initial <= 0:
             raise ConfigError(f"lr_initial must be positive, got {self.lr_initial}")
+        if self.sigma_train < 0:
+            raise ConfigError(f"sigma_train must be >= 0, got {self.sigma_train}")
         _check_model_args(self.seed, self.init_mode, self.bias_mode)
 
     def to_json(self) -> dict:
@@ -240,9 +242,7 @@ def train(model: ToyModel, cfg: TrainConfig) -> TrainHistory:
     """
     optimizer = Adam(model.parameters())
     history = TrainHistory()
-    val_clean, val_noisy = (None, None)
-    if cfg.n_validation > 0:
-        val_clean, val_noisy = _validation_set(cfg)
+    val_clean, val_noisy = _validation_set(cfg) if cfg.n_validation > 0 else (None, None)
 
     for epoch in range(cfg.epochs):
         lr = cfg.lr_initial * (1.0 - epoch / cfg.epochs)
@@ -337,21 +337,24 @@ def load_checkpoint(directory) -> ToyModel:
         raise ConfigError(f"no checkpoint manifest at {path}") from exc
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"cannot parse checkpoint manifest {path}: {exc}") from exc
+    fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ConfigError(f"checkpoint {path} has format {fmt!r}, not {CHECKPOINT_FORMAT}")
+
+    def read(name):
+        shape, file = entries[name]["shape"], os.path.join(directory, _param_file(name))
+        got, want = os.path.getsize(file), 8 * math.prod(shape)
+        if got != want:
+            raise ConfigError(
+                f"checkpoint file {file} holds {got} bytes, shape {shape} needs {want}"
+            )
+        raw = np.fromfile(file, dtype="<f8").reshape(shape)
+        return ad.Parameter(raw, entries[name]["trainable"])
+
     try:
         entries = {entry["name"]: entry for entry in manifest["parameters"]}
         levels = range(len(manifest["widths"]))
-        groups = [[] for _ in _GROUPS]
-        for group, params in zip(_GROUPS, groups):
-            for name in [f"{group}_{level}" for level in levels]:
-                shape, file = entries[name]["shape"], os.path.join(directory, _param_file(name))
-                got, want = os.path.getsize(file), 8 * math.prod(shape)
-                if got != want:
-                    raise ConfigError(
-                        f"checkpoint file {file} holds {got} bytes, shape {shape} needs {want}"
-                    )
-                raw = np.fromfile(file, dtype="<f8").reshape(shape)
-                params.append(ad.Parameter(raw, entries[name]["trainable"]))
-        model = ToyModel(*groups)
+        model = ToyModel(*[[read(f"{group}_{level}") for level in levels] for group in _GROUPS])
     except ConfigError:
         raise
     except KeyError as exc:
