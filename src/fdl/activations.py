@@ -22,7 +22,6 @@ from .tensor import signed_impulse_bank
 
 __all__ = [
     "ActivationSpec",
-    "ThresholdParams",
     "SHRINK_KINDS",
     "DOG_KINDS",
     "ACTIVATION_KINDS",
@@ -79,28 +78,18 @@ def _broadcast(t, z):
     return vec[:, None, None, None]
 
 
-@dataclass(frozen=True)
-class ThresholdParams:
-    """Noise and signal dispersion of one detail band."""
-
-    sigma_eta: float
-    sigma_d: float
-
-    def __post_init__(self):
-        if self.sigma_eta <= 0 or self.sigma_d <= 0:
-            raise ConfigError(
-                f"dispersions must be positive, got sigma_eta={self.sigma_eta}, "
-                f"sigma_d={self.sigma_d}"
-            )
-
-
-def map_threshold(params: ThresholdParams) -> float:
-    """Pointwise estimation threshold: noise variance over signal dispersion.
+def map_threshold(sigma_eta, sigma_d) -> float:
+    """Pointwise estimation threshold of one detail band: noise variance
+    ``sigma_eta**2`` over signal dispersion ``sigma_d``.
 
     Strong signal presence drives the threshold toward zero; a nearly empty
     band gets a huge threshold and is suppressed entirely.
     """
-    return params.sigma_eta**2 / params.sigma_d
+    if sigma_eta <= 0 or sigma_d <= 0:
+        raise ConfigError(
+            f"dispersions must be positive, got sigma_eta={sigma_eta}, sigma_d={sigma_d}"
+        )
+    return sigma_eta**2 / sigma_d
 
 
 @dataclass(frozen=True)

@@ -132,11 +132,12 @@ def _build_parser():
 
     p = sub.add_parser("experiment", help="run a bundled experiment")
     p.add_argument("name", help="tight-frame | bias-zero | generalization")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=25)
-    p.add_argument("--images-per-epoch", type=int, default=192)
-    p.add_argument("--image-size", type=int, default=64, help="training image side length")
-    p.add_argument("--test-image-size", type=int, default=256)
+    # unset protocol flags leave ExperimentConfig's defaults in place
+    p.add_argument("--seed", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--images-per-epoch", type=int)
+    p.add_argument("--image-size", type=int, help="training image side length")
+    p.add_argument("--test-image-size", type=int)
     p.add_argument("--out", help="run directory (default runs/<name>-seed<seed>)")
     return parser
 
@@ -391,19 +392,20 @@ def _cmd_experiment(args, argv):
     from fdl.experiments import ExperimentConfig, run_named_experiment
 
     started = time.time()
-    seed = _env_seed()
-    seed = args.seed if seed is None else seed
-    cfg = ExperimentConfig(
-        seed=seed,
-        epochs=args.epochs,
-        images_per_epoch=args.images_per_epoch,
-        image_size=(args.image_size, args.image_size),
-        test_image_size=args.test_image_size,
-    )
-    run_dir = args.out or os.path.join("runs", f"{args.name}-seed{seed}")
+    env_seed = _env_seed()
+    side = args.image_size
+    given = {
+        "seed": args.seed if env_seed is None else env_seed,
+        "epochs": args.epochs,
+        "images_per_epoch": args.images_per_epoch,
+        "image_size": None if side is None else (side, side),
+        "test_image_size": args.test_image_size,
+    }
+    cfg = ExperimentConfig(**{name: v for name, v in given.items() if v is not None})
+    run_dir = args.out or os.path.join("runs", f"{args.name}-seed{cfg.seed}")
     report = run_named_experiment(args.name, cfg)
     config = {"experiment": args.name, **dataclasses.asdict(cfg)}
-    _finish_run(run_dir, argv, started, config, report.files(), seed=seed)
+    _finish_run(run_dir, argv, started, config, report.files(), seed=cfg.seed)
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -16,33 +16,11 @@ from .errors import ConfigError
 from .tensor import as_image
 
 __all__ = [
-    "TriangleDatasetConfig",
     "NoiseModel",
     "gen_triangles",
     "add_noise",
     "piecewise_scene",
 ]
-
-
-@dataclass(frozen=True)
-class TriangleDatasetConfig:
-    n_images: int
-    size: tuple = (64, 64)
-    triangles_per_image: tuple = (2, 6)
-    seed: int = 0
-    intensity_range: tuple = (0.1, 1.0)
-
-    def __post_init__(self):
-        lo, hi = self.intensity_range
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ConfigError(f"intensity range must sit inside [0, 1], got {self.intensity_range}")
-        low, high = self.triangles_per_image
-        if not 0 <= low <= high:
-            raise ConfigError(
-                f"bad triangle count range {self.triangles_per_image}: needs 0 <= low <= high"
-            )
-        if self.n_images < 0:
-            raise ConfigError("n_images must be >= 0")
 
 
 def _fill_triangle(plane, verts, value):
@@ -63,18 +41,22 @@ def _fill_triangle(plane, verts, value):
     plane[~(has_neg & has_pos)] = value
 
 
-def gen_triangles(cfg: TriangleDatasetConfig) -> np.ndarray:
-    """Generate ``(n, 1, 1, N_r, N_c)`` images of overlapping triangles.
+def gen_triangles(n_images, size, triangles_per_image, intensity_range, seed) -> np.ndarray:
+    """Generate ``(n_images, 1, 1, N_r, N_c)`` images of overlapping triangles.
 
-    Later triangles paint over earlier ones.  Deterministic per seed.
+    ``size`` is ``(N_r, N_c)``.  Each image holds a uniform count of
+    triangles in the inclusive ``triangles_per_image`` range, each of a
+    uniform intensity in ``intensity_range``; later triangles paint over
+    earlier ones.  Deterministic per seed.  :class:`~fdl.training.TrainConfig`
+    states the law the arguments follow; they are not checked here.
     """
-    rng = np.random.default_rng(cfg.seed)
-    n_r, n_c = cfg.size
-    lo, hi = cfg.intensity_range
-    out = np.zeros((cfg.n_images, 1, 1, n_r, n_c))
-    for i in range(cfg.n_images):
+    rng = np.random.default_rng(seed)
+    n_r, n_c = size
+    lo, hi = intensity_range
+    out = np.zeros((n_images, 1, 1, n_r, n_c))
+    for i in range(n_images):
         plane = out[i, 0, 0]
-        count = int(rng.integers(cfg.triangles_per_image[0], cfg.triangles_per_image[1] + 1))
+        count = int(rng.integers(triangles_per_image[0], triangles_per_image[1] + 1))
         for _ in range(count):
             # vertices may fall slightly outside so triangles can straddle
             # the border
@@ -113,7 +95,7 @@ def add_noise(x, model: NoiseModel) -> np.ndarray:
     return x + rng.normal(scale=model.sigma_eta, size=x.shape)
 
 
-def piecewise_scene(size=256) -> np.ndarray:
+def piecewise_scene(size) -> np.ndarray:
     """Deterministic piecewise-constant test scene on [0, 1].
 
     Flat regions of several intensities with straight and curved edges;

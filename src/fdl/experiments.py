@@ -62,16 +62,16 @@ MODELS = {
 class ExperimentConfig:
     """Shared knobs of the trained-model experiments.
 
-    Defaults follow the full protocol (25 epochs, 192 images per epoch);
-    desk-scale runs shrink ``epochs`` and ``images_per_epoch``.
+    Defaults are the full protocol of :class:`TrainConfig`; desk-scale runs
+    shrink ``epochs`` and ``images_per_epoch``.
     """
 
-    seed: int = 0
-    epochs: int = 25
-    images_per_epoch: int = 192
-    lr_initial: float = 1e-3
-    sigma_train: float = 0.1
-    image_size: tuple = (64, 64)
+    seed: int = TrainConfig.seed
+    epochs: int = TrainConfig.epochs
+    images_per_epoch: int = TrainConfig.images_per_epoch
+    lr_initial: float = TrainConfig.lr_initial
+    sigma_train: float = TrainConfig.sigma_train
+    image_size: tuple = TrainConfig.image_size
     test_image_size: int = 256
 
     def __post_init__(self):
@@ -204,7 +204,7 @@ class BiasZeroReport:
         return {"report.json": self.to_json(), **_pgm_files(self.images)}
 
 
-def run_bias_zero_probe(model: ToyModel, clean, sigma=0.1, seed=0) -> BiasZeroReport:
+def run_bias_zero_probe(model: ToyModel, clean, sigma, seed) -> BiasZeroReport:
     """Evaluate a trained model with and without its biases.
 
     Zeroing the biases disables the suppression mechanism, so part of the

@@ -23,7 +23,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import autodiff as ad
-from .datasets import NoiseModel, TriangleDatasetConfig, add_noise, gen_triangles
+from .datasets import NoiseModel, add_noise, gen_triangles
 from .errors import ConfigError, NumericError, is_kind
 from .metrics import snr_db
 from .network import NUMPY_OPS, TOY_WIDTHS, build_toy_spec, evaluate
@@ -62,7 +62,12 @@ def _check_model_args(seed, init_mode, bias_mode):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training protocol; the learning rate decays linearly to zero."""
+    """Training protocol; the learning rate decays linearly to zero.
+
+    The one statement of the protocol's fields, defaults and rules, the
+    law of the triangle images included, so a bad config fails here,
+    before any image is drawn.
+    """
 
     epochs: int = 25
     images_per_epoch: int = 192
@@ -91,8 +96,20 @@ class TrainConfig:
                 object.__setattr__(self, name, values)
         if self.epochs < 0 or self.n_validation < 0 or self.images_per_epoch < 1:
             raise ConfigError("epochs and n_validation must be >= 0, images_per_epoch >= 1")
-        if min(self.image_size) < 1:
-            raise ConfigError(f"image_size entries must be >= 1, got {list(self.image_size)}")
+        if min(self.image_size) < 1 or any(n % 2 for n in self.image_size):
+            raise ConfigError(
+                f"image_size entries must be >= 1 and even, got {list(self.image_size)}"
+            )
+        low, high = self.intensity_range
+        if not 0.0 <= low <= high <= 1.0:
+            raise ConfigError(
+                f"intensity range must sit inside [0, 1], got {self.intensity_range}"
+            )
+        low, high = self.triangles_per_image
+        if not 0 <= low <= high:
+            raise ConfigError(
+                f"bad triangle count range {self.triangles_per_image}: needs 0 <= low <= high"
+            )
         if self.lr_initial <= 0:
             raise ConfigError(f"lr_initial must be positive, got {self.lr_initial}")
         if self.sigma_train < 0:
@@ -168,7 +185,8 @@ class ToyModel:
         return self.enc_kernels[-1].value, self.dec_kernels[-1].value
 
 
-def build_toy(seed=0, init_mode="independent", bias_mode="learned"):
+def build_toy(seed=TrainConfig.seed, init_mode=TrainConfig.init_mode,
+              bias_mode=TrainConfig.bias_mode):
     """Construct the trainable model: widths :data:`~fdl.network.TOY_WIDTHS`
     and 3x3 kernels.
 
@@ -214,17 +232,11 @@ class TrainHistory:
         return {"epochs": self.epochs}
 
 
-def _triangles(cfg: TrainConfig, n_images, seed):
-    """``n_images`` clean images of the triangle distribution ``cfg`` names."""
-    data = TriangleDatasetConfig(
-        n_images=n_images, size=cfg.image_size, triangles_per_image=cfg.triangles_per_image,
-        seed=seed, intensity_range=cfg.intensity_range,
-    )
-    return gen_triangles(data)
-
-
 def _validation_set(cfg: TrainConfig):
-    clean = _triangles(cfg, cfg.n_validation, (cfg.seed, 3))
+    clean = gen_triangles(
+        cfg.n_validation, cfg.image_size, cfg.triangles_per_image, cfg.intensity_range,
+        (cfg.seed, 3),
+    )
     noisy = np.stack(
         [
             add_noise(clean[i], NoiseModel(cfg.sigma_train, seed=(cfg.seed, 4, i)))
@@ -246,12 +258,20 @@ def train(model: ToyModel, cfg: TrainConfig) -> TrainHistory:
 
     for epoch in range(cfg.epochs):
         lr = cfg.lr_initial * (1.0 - epoch / cfg.epochs)
-        images = _triangles(cfg, cfg.images_per_epoch, (cfg.seed, 1, epoch))
+        images = gen_triangles(
+            cfg.images_per_epoch, cfg.image_size, cfg.triangles_per_image, cfg.intensity_range,
+            (cfg.seed, 1, epoch),
+        )
         losses = []
         for i in range(cfg.images_per_epoch):
             optimizer.zero_grad()
             clean = images[i]
             noisy = add_noise(clean, NoiseModel(cfg.sigma_train, seed=(cfg.seed, 2, epoch, i)))
+            # ``loss`` keeps this step's graph alive until the next step's
+            # forward has run.  Freed first, its memory is trimmed from the
+            # heap by the C allocator and faulted back in by the next step
+            # (up to 23 MB per 64x64 step): 29-35 ms per step instead of
+            # 19.3 ms, measured on 2 vCPUs with BLAS at 1 thread.
             loss = ad.mse(model.forward(noisy), ad.constant(clean))
             if not np.isfinite(loss.value):
                 raise NumericError(f"loss diverged at epoch {epoch}, image {i}")

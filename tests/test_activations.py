@@ -7,7 +7,6 @@ from fdl import tensor
 from fdl.activations import (
     ACTIVATION_KINDS,
     ActivationSpec,
-    ThresholdParams,
     activation_derivative,
     apply_activation,
     clip_as_relu,
@@ -41,19 +40,19 @@ def _with_threshold(kind, t):
 
 class TestMapThreshold:
     def test_direct_substitution(self):
-        assert map_threshold(ThresholdParams(0.1, 0.05)) == pytest.approx(0.2)
+        assert map_threshold(0.1, 0.05) == pytest.approx(0.2)
 
     def test_strong_signal_limit(self):
-        assert map_threshold(ThresholdParams(0.1, 1e9)) == pytest.approx(0.0, abs=1e-10)
+        assert map_threshold(0.1, 1e9) == pytest.approx(0.0, abs=1e-10)
 
     def test_empty_band_is_suppressed(self):
-        assert map_threshold(ThresholdParams(0.1, 1e-9)) == pytest.approx(1e7)
+        assert map_threshold(0.1, 1e-9) == pytest.approx(1e7)
 
     def test_nonpositive_inputs_raise(self):
         with pytest.raises(ConfigError):
-            ThresholdParams(0.0, 1.0)
+            map_threshold(0.0, 1.0)
         with pytest.raises(ConfigError):
-            ThresholdParams(0.1, -1.0)
+            map_threshold(0.1, -1.0)
 
 
 class TestScalarMaps:

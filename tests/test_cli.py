@@ -403,6 +403,9 @@ class TestAnalyzeAndFlops:
             assert "Traceback" not in result.stderr
 
 
+# epochs and validation images that draw no triangle image
+IDLE = {"epochs": 0, "n_validation": 0}
+
 TINY_TRAIN = {
     "epochs": 1,
     "images_per_epoch": 2,
@@ -473,23 +476,30 @@ class TestTrainCommand:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
-        "field, value, named",
+        "changes, named",
         [
-            ("image_size", [-4, 16], "image_size entries must be >= 1"),
-            ("n_validation", -1, "n_validation must be >= 0"),
-            ("batch_size", 1, "unknown training config fields: ['batch_size']"),
-            ("triangles_per_image", [-1, 2], "bad triangle count range (-1, 2)"),
-            ("lr_initial", float("nan"), "lr_initial needs one finite real value, got nan"),
-            ("lr_initial", float("inf"), "lr_initial needs one finite real value, got inf"),
-            ("sigma_train", float("nan"), "sigma_train needs one finite real value, got nan"),
-            ("sigma_train", -0.1, "sigma_train must be >= 0, got -0.1"),
+            ({"image_size": [-4, 16]}, "image_size entries must be >= 1"),
+            ({"n_validation": -1}, "n_validation must be >= 0"),
+            ({"batch_size": 1}, "unknown training config fields: ['batch_size']"),
+            ({"triangles_per_image": [-1, 2]}, "bad triangle count range (-1, 2)"),
+            ({"lr_initial": float("nan")}, "lr_initial needs one finite real value, got nan"),
+            ({"lr_initial": float("inf")}, "lr_initial needs one finite real value, got inf"),
+            ({"sigma_train": float("nan")}, "sigma_train needs one finite real value, got nan"),
+            ({"sigma_train": -0.1}, "sigma_train must be >= 0, got -0.1"),
+            # a config that draws no image is checked all the same
+            ({**IDLE, "triangles_per_image": [-1, 2]}, "bad triangle count range (-1, 2)"),
+            ({**IDLE, "triangles_per_image": [4, 2]}, "bad triangle count range (4, 2)"),
+            ({**IDLE, "intensity_range": [0.5, 1.5]}, "intensity range must sit inside [0, 1]"),
+            ({**IDLE, "image_size": [63, 63]}, "image_size entries must be >= 1 and even"),
         ],
         ids=["image_size-negative", "n_validation-negative", "batch_size-unknown",
              "triangles_per_image-negative", "lr_initial-nan", "lr_initial-inf", "sigma_train-nan",
-             "sigma_train-negative"],
+             "sigma_train-negative", "idle-triangles_per_image-negative",
+             "idle-triangles_per_image-reversed", "idle-intensity_range-above-1",
+             "idle-image_size-odd"],
     )
-    def test_out_of_range_config_exit_3(self, tmp_path, field, value, named):
-        (tmp_path / "cfg.json").write_text(json.dumps(dict(TINY_TRAIN, **{field: value})))
+    def test_out_of_range_config_exit_3(self, tmp_path, changes, named):
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(TINY_TRAIN, **changes)))
         result = run_cli(["train", "cfg.json", "--out", "run"], cwd=tmp_path)
         assert result.returncode == 3, result.stderr
         assert named in result.stderr
@@ -640,6 +650,44 @@ class TestExperimentCommand:
         assert not (tmp_path / "runs").exists()
         # the default protocol (25 epochs x 192 images) would train for minutes
         assert elapsed < 30, f"took {elapsed:.1f} s"
+
+    @pytest.mark.parametrize(
+        "flags, env, expected, run_dir",
+        [
+            ([], {}, {}, "tight-frame-seed0"),
+            (["--seed", "9"], {"FDL_SEED": "4"}, {"seed": 4}, "tight-frame-seed4"),
+        ],
+        ids=["no-flags", "env-seed-over-flag"],
+    )
+    def test_unset_flags_leave_the_config_defaults(
+        self, tmp_path, monkeypatch, flags, env, expected, run_dir
+    ):
+        import fdl.experiments
+        from fdl.cli import main
+        from fdl.experiments import ExperimentConfig
+
+        class Report:
+            def files(self):
+                return {"report.json": {}}
+
+            def to_json(self):
+                return {}
+
+        handed = []
+        monkeypatch.setattr(
+            fdl.experiments, "run_named_experiment",
+            lambda name, cfg: handed.append((name, cfg)) or Report(),
+        )
+        for var in _THREAD_VARS:  # main() pins these in the environment
+            monkeypatch.setenv(var, "1")
+        monkeypatch.delenv("FDL_SEED", raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", "tight-frame", *flags]) == 0
+        assert handed == [("tight-frame", ExperimentConfig(**expected))]
+        manifest = json.loads((tmp_path / "runs" / run_dir / "manifest.json").read_text())
+        assert manifest["seed"] == ExperimentConfig(**expected).seed
 
     def test_negative_seed_exit_3(self, tmp_path):
         result = run_cli(["experiment", "tight-frame", "--seed", "-1"], cwd=tmp_path)

@@ -9,7 +9,7 @@ import pytest
 
 from fdl import experiments
 from fdl.cli import _finish_run
-from fdl.datasets import NoiseModel, TriangleDatasetConfig, add_noise, gen_triangles, piecewise_scene
+from fdl.datasets import NoiseModel, add_noise, gen_triangles, piecewise_scene
 from fdl.errors import ConfigError, ShapeError
 from fdl.experiments import (
     NOISE_LEVELS,
@@ -32,18 +32,15 @@ from fdl.training import (
 
 class TestTriangles:
     def test_same_seed_identical(self):
-        cfg = TriangleDatasetConfig(n_images=3, size=(32, 32), seed=5)
-        a = gen_triangles(cfg)
-        b = gen_triangles(cfg)
+        a = gen_triangles(3, (32, 32), (2, 6), (0.1, 1.0), 5)
+        b = gen_triangles(3, (32, 32), (2, 6), (0.1, 1.0), 5)
         assert a.tobytes() == b.tobytes()
 
     def test_zero_triangles_blank(self):
-        cfg = TriangleDatasetConfig(n_images=2, size=(16, 16), triangles_per_image=(0, 0), seed=1)
-        np.testing.assert_array_equal(gen_triangles(cfg), 0.0)
+        np.testing.assert_array_equal(gen_triangles(2, (16, 16), (0, 0), (0.1, 1.0), 1), 0.0)
 
     def test_values_in_unit_range(self):
-        cfg = TriangleDatasetConfig(n_images=4, size=(32, 32), seed=2)
-        imgs = gen_triangles(cfg)
+        imgs = gen_triangles(4, (32, 32), (2, 6), (0.1, 1.0), 2)
         assert imgs.min() >= 0.0 and imgs.max() <= 1.0
         assert imgs.max() > 0.0  # something was drawn
 
@@ -52,7 +49,7 @@ class TestTriangles:
 
     def test_bad_intensity_range(self):
         with pytest.raises(ConfigError):
-            TriangleDatasetConfig(n_images=1, intensity_range=(0.5, 1.5))
+            TrainConfig(intensity_range=(0.5, 1.5))
 
 
 class TestNoise:
