@@ -446,11 +446,19 @@ def spec_from_json(payload: dict) -> NetworkSpec:
 # ---------------------------------------------------------------------------
 
 
+def _add_bias_in_place(x, bias):
+    """``x + bias`` per row, written into ``x``.  :func:`evaluate` passes
+    the array ``conv`` has just returned, so the sum needs no second
+    activation-sized array."""
+    x += bias[:, None, None, None]
+    return x
+
+
 # The op set of :func:`evaluate` on plain arrays; :mod:`fdl.autodiff`
 # provides the same names on graph nodes.
 NUMPY_OPS = SimpleNamespace(
     conv=lambda kernel, x: conv2d(kernel, x),
-    add_bias=lambda x, bias: x + bias[:, None, None, None],
+    add_bias=_add_bias_in_place,
     act=lambda x, spec: apply_activation(spec, x),
     bank_down=bank_down,
     bank_up=bank_up,
@@ -466,6 +474,8 @@ def evaluate(spec: NetworkSpec, conv_weights, x, ops):
     :mod:`fdl.autodiff` over graph nodes:
 
     * ``conv(kernel, x)`` and ``add_bias(x, bias)`` for Conv layers;
+      ``add_bias`` receives only ``conv``'s fresh result, and may
+      write into it;
     * ``act(x, spec)`` for Activation layers;
     * ``bank_down(filters, x)`` / ``bank_up(filters, x)`` for Resample
       layers: a fixed ``(bands, 1, k, k)`` filter stack applied to each

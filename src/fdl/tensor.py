@@ -38,6 +38,25 @@ Every other kernel takes the stack-or-fold route above, and so does the
 differentiable conv of :mod:`fdl.autodiff`: a zero tap still has a
 nonzero kernel gradient.
 
+:func:`conv2d` bounds its working set.  When the whole image's shift
+stack (expanding conv) or tap products (contracting conv) would exceed
+:data:`STRIP_BYTES`, it computes the output in strips of rows, each from a
+slab of input rows that adds the kernel's vertical reach on both sides,
+so a conv holds one strip's stack at a time instead of the image's (56 MB
+for a 12 -> 24 channel 3x3 conv at 256x256).  Every tap of every output
+sample reads the same inputs in the same order as on the whole image,
+and a contracting conv folds the wrapped halo rows last, as the
+whole-image fold does, so the two routes give the same products and the
+same sums.  The result is bitwise equal wherever the BLAS computes each
+column of a matrix product independently of the product's width.
+OpenBLAS 0.3.31 (Haswell kernels) does so when the image width is a
+multiple of 8 and an expanding conv's ``in * kv * kh`` is at most 384;
+otherwise it rounds the last ``N % 8`` columns of an ``N``-column
+product, or a small product with a deeper inner dimension, its own way,
+and a few outputs may differ in the last bits.  The autodiff conv and
+:func:`conv2d_adjoint` keep the whole-image route: the kernel gradient
+needs the whole stack.
+
 All functions are pure and operate on immutable inputs, so they are safe to
 call concurrently.
 """
@@ -275,13 +294,84 @@ def _channel_mix(matrix, signal):
     return (matrix @ signal.reshape(sr, sc * h * w)).reshape(matrix.shape[0], sc, h, w)
 
 
+# Largest shift stack (expanding conv) or set of tap products (contracting
+# conv) that conv2d forms at once; a larger one is formed strip by strip.
+STRIP_BYTES = 4 << 20
+
+
+def _strip_rows(kernel_shape, signal_shape):
+    """Rows per strip of :func:`conv2d`, or ``None`` when the whole image's
+    stack or tap products fit in :data:`STRIP_BYTES`.
+
+    A strip of ``R`` rows stacks ``R + 2 * cv`` input rows (expanding), or
+    forms products over ``R + 4 * cv`` bordered rows (contracting), where
+    ``cv = kv // 2``.  All strips but the last have the same height, so
+    that successive strips allocate arrays of one size.
+    """
+    ko, kc, kv, kh = kernel_shape
+    sc, h, w = signal_shape[1:]
+    cv = kv // 2
+    if _contracting(kernel_shape):
+        row_bytes, extra = ko * kv * kh * sc * (w + 2 * (kh // 2)) * 8, 2 * cv
+    else:
+        row_bytes, extra = kc * kv * kh * sc * w * 8, 0
+    grid = h + extra  # the rows _conv_strips computes
+    if row_bytes * grid <= STRIP_BYTES:
+        return None
+    strips = -(-grid // max(1, STRIP_BYTES // row_bytes - 2 * cv - extra))
+    return -(-grid // strips)
+
+
+def _conv_strips(kernel, signal, rows):
+    """:func:`_conv_forward` computed ``rows`` output rows at a time, with
+    the whole-image call's products and sums (module docstring).
+
+    An expanding conv reads each strip from a circular slab of the input:
+    the strip plus ``kv // 2`` halo rows on each side, so every tap of a
+    strip row stacks the same input row as the whole-image stack.  A
+    contracting conv computes, strip by strip, the rows of the halo-bordered
+    grid that :func:`_fold_products` sums its taps on, each from a slab of
+    the zero-bordered input, and then folds that grid's halo rows onto the
+    image: the wrapped rows are added after all other taps, as in the
+    whole-image fold.  Either way each slab's own halo rows are discarded.
+    """
+    ko, kc, kv, kh = kernel.shape
+    sr, sc, h, w = signal.shape
+    cv = kv // 2
+    contracting = _contracting(kernel.shape)
+    grid = h + 2 * cv if contracting else h
+    out = np.empty((ko, sc, grid, w))
+    for r0 in range(0, grid, rows):
+        r1 = min(r0 + rows, grid)
+        if contracting:
+            # bordered row r is image row r - cv; the slab holds bordered
+            # rows r0 - cv .. r1 + cv, zero outside the image
+            slab = np.zeros((sr, sc, r1 - r0 + 2 * cv, w))
+            lo, hi = max(r0 - 2 * cv, 0), min(r1, h)
+            slab[:, :, lo - r0 + 2 * cv : hi - r0 + 2 * cv] = signal[:, :, lo:hi]
+        else:
+            slab = signal.take(range(r0 - cv, r1 + cv), axis=2, mode="wrap")
+        # the slab's stack is dropped here, before the next one is formed
+        out[:, :, r0:r1] = _conv_forward(kernel, slab)[0][:, :, cv : cv + r1 - r0]
+    if not contracting:
+        return out
+    _fold_halo(out, cv, h)
+    # close up the image rows in place: each channel's rows move back over
+    # the halo rows before them, so no second output-sized array is needed
+    flat, size = out.reshape(-1), h * w
+    for b in range(ko * sc):
+        flat[b * size : (b + 1) * size] = flat[(b * grid + cv) * w : (b * grid + cv) * w + size]
+    return flat[: ko * sc * size].reshape(ko, sc, h, w)
+
+
 def conv2d(kernel, signal) -> np.ndarray:
     """Tensor convolution of a kernel with a signal.
 
     Output row ``r`` is the sum over input channels ``c`` of the circular
     2-D convolution ``kernel[r, c] * signal[c]``; the column axis of the
     signal is carried through untouched.  Output spatial size equals the
-    signal's.
+    signal's.  A large conv is computed in strips of rows
+    (:func:`_conv_strips`) with the same products and sums.
     """
     kernel = as_tensor4(kernel, "kernel")
     signal = as_tensor4(signal, "signal")
@@ -294,6 +384,9 @@ def conv2d(kernel, signal) -> np.ndarray:
     mix = _pointwise(kernel)
     if mix is not None:
         return _channel_mix(mix, signal)
+    rows = _strip_rows(kernel.shape, signal.shape)
+    if rows is not None:
+        return _conv_strips(kernel, signal, rows)
     out, _ = _conv_forward(kernel, signal)
     return out
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from fdl import experiments
+from fdl import experiments, tensor
 from fdl.cli import _finish_run
 from fdl.datasets import NoiseModel, add_noise, gen_triangles, piecewise_scene
 from fdl.errors import ConfigError, ShapeError
@@ -182,6 +182,18 @@ class TestToyModel:
     def test_predict_is_forward_bitwise(self, init_mode, bias_mode):
         model, y = self.perturbed(init_mode, bias_mode)
         assert model.predict(y).tobytes() == model.forward(y).value.tobytes()
+
+    def test_predict_in_strips_is_the_untiled_route_bitwise(self, monkeypatch):
+        model, _ = self.perturbed("independent")
+        y = np.random.default_rng(7).uniform(size=(1, 1, 256, 256))
+        strips = []
+        take_strips = tensor._conv_strips
+        monkeypatch.setattr(tensor, "_conv_strips", lambda *a: strips.append(a[2]) or take_strips(*a))
+        tiled = model.predict(y)
+        assert len(strips) == 6  # every conv of the model at 256x256
+        monkeypatch.setattr(tensor, "STRIP_BYTES", 1 << 40)
+        assert model.predict(y).tobytes() == tiled.tobytes()
+        assert len(strips) == 6
 
     def test_bias_surgery_is_forward_with_those_biases(self):
         model, y = self.perturbed("shared_enc_dec")

@@ -1,5 +1,7 @@
 """Tensor arithmetic: convolution, transposition, resampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from fdl import tensor
 from fdl.errors import ConfigError, NumericError, ShapeError
 
 from fdl.framelets import framelet_forward, framelet_inverse, haar_dwt
+from fdl.training import build_toy
 from oracles import (
     block_diag_bank,
     conv2d_reference,
@@ -240,6 +243,86 @@ class TestNarrowSideProperties:
                 folded = tensor._fold_products(kmat, y, kv, kh, correlate=correlate)
                 lhs = np.vdot(stack, products.swapaxes(0, 1))
                 assert abs(lhs - np.vdot(x, folded)) < 1e-11 * max(1.0, abs(lhs))
+
+
+# Strips against the whole image: expanding, equal and contracting channel
+# counts (out, in), including the reference model's 24 -> 12.  Widths are
+# multiples of 8 and an expanding conv's in * kv * kh stays at most 384,
+# where the BLAS rounds each kept column of a product the same way at any
+# product width (see the tensor module docstring); the last test below
+# covers the other shapes against the oracle.
+STRIP_CHANNELS = [(4, 1), (6, 2), (1, 1), (3, 3), (6, 6), (1, 4), (2, 5), (12, 24)]
+STRIP_KERNELS = [(3, 3), (5, 5), (7, 7), (3, 7)]
+
+
+class TestConvStrips:
+    """conv2d's strip route: every strip height gives the whole-image
+    route's bytes, and large convs hold one strip at a time."""
+
+    @pytest.mark.parametrize("ko,kc", STRIP_CHANNELS)
+    def test_every_strip_height_is_the_whole_image_bitwise(self, ko, kc):
+        rng = np.random.default_rng((ko, kc, 5))
+        for kv, kh in STRIP_KERNELS:
+            # odd and even heights; a 5- or 7-row kernel reaches further
+            # than the 1- and 2-row images wrap
+            for h in (1, 2, 3, 6, 7):
+                kernel = rng.normal(size=(ko, kc, kv, kh))
+                x = rng.normal(size=(kc, int(rng.integers(1, 3)), h, 8 * int(rng.integers(1, 3))))
+                whole, _ = tensor._conv_forward(kernel, x)
+                want = conv2d_roll_reference(kernel, x)
+                assert np.max(np.abs(whole - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+                for rows in range(1, h + 1):
+                    out = tensor._conv_strips(kernel, x, rows)
+                    assert out.flags.c_contiguous and out.shape == whole.shape
+                    assert out.tobytes() == whole.tobytes(), (kv, kh, h, rows)
+
+    def test_strips_match_the_nested_loop_oracle(self):
+        rng = np.random.default_rng(10)
+        for ko, kc in ((3, 2), (2, 3)):
+            kernel = rng.normal(size=(ko, kc, 5, 3))
+            x = rng.normal(size=(kc, 2, 5, 8))
+            want = conv2d_reference(kernel, x)
+            for rows in range(1, 6):
+                assert np.max(np.abs(tensor._conv_strips(kernel, x, rows) - want)) < 1e-12
+
+    def test_other_widths_and_deep_kernels_match_the_oracle(self):
+        rng = np.random.default_rng(11)
+        # widths that leave a partial 8-column tile, a 1-row kernel (no
+        # halo), and 12 * 7 * 7 = 588 inner products per expanding column
+        for ko, kc, kv, kh, w in ((3, 2, 3, 3, 6), (2, 3, 3, 5, 5), (4, 2, 1, 3, 7), (3, 4, 1, 5, 3), (24, 12, 7, 7, 8)):
+            kernel = rng.normal(size=(ko, kc, kv, kh))
+            x = rng.normal(size=(kc, 2, 9, w))
+            want = conv2d_roll_reference(kernel, x)
+            for rows in range(1, 10):
+                err = np.max(np.abs(tensor._conv_strips(kernel, x, rows) - want))
+                assert err < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_a_large_conv_holds_one_strip_at_a_time(self):
+        rng = np.random.default_rng(12)
+        kernel = rng.normal(size=(24, 12, 3, 3))
+        x = rng.normal(size=(12, 1, 256, 256))
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            out = tensor.conv2d(kernel, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-image stack alone would be 12 * 9 * 256 * 256 * 8 = 56.6 MB
+        assert peak < out.nbytes + x.nbytes + 2 * tensor.STRIP_BYTES
+
+    def test_reference_model_convs_at_64_take_the_whole_image_route(self, monkeypatch):
+        """At training size every conv fits the budget (the largest, 24 -> 12,
+        forms 3.76 MB of tap products), so predict computes what training's
+        forward does, on the same route."""
+        model = build_toy(seed=1)
+        calls = count_dense_calls(monkeypatch)
+
+        def no_strips(*args):
+            raise AssertionError("a 64x64 conv took strips")
+
+        monkeypatch.setattr(tensor, "_conv_strips", no_strips)
+        model.predict(np.random.default_rng(1).uniform(size=(1, 1, 64, 64)))
+        assert calls["_conv_forward"] == 6
 
 
 def random_pointwise_case(rng, ko, kc, size):
