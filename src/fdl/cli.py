@@ -240,6 +240,17 @@ def _read_input_image(path):
         raise _IoError(f"cannot parse {path}: {exc}") from exc
 
 
+def _naming(path, fn, *args):
+    """``fn(*args)``; a bad parameter it raises on, such as a reference
+    without an SNR (``metrics.snr_db``), is named by the file ``path``."""
+    from fdl.errors import ConfigError
+
+    try:
+        return fn(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 # The denoise flags each method reads; any other must keep its default.  The
 # per-rank demo takes its input as the clean image: it reads no --reference.
 _DENOISE_READS = {
@@ -302,7 +313,7 @@ def _cmd_denoise(args, argv):
         if demo:
             if not 0 <= args.sigma < np.inf:
                 raise ConfigError(f"--sigma must be a finite number >= 0, got {args.sigma}")
-            report = lowrank_denoise_demo(y, sigma=args.sigma, ranks=ranks, seed=0)
+            report = _naming(args.input, lowrank_denoise_demo, y, args.sigma, ranks)
             params = {
                 "method": "svd-lowrank-demo",
                 "ranks": ranks,
@@ -334,7 +345,7 @@ def _cmd_denoise(args, argv):
         images = {"denoised.pgm": out}
         if args.reference:
             reference = as_image(_read_input_image(args.reference), "reference image")
-            metrics["snr_input_db"] = snr_db(reference, y)
+            metrics["snr_input_db"] = _naming(args.reference, snr_db, reference, y)
             metrics["snr_output_db"] = snr_db(reference, out)
             metrics["snr_gain_db"] = metrics["snr_output_db"] - metrics["snr_input_db"]
 
@@ -371,15 +382,14 @@ def _cmd_flops(args, argv):
 
 
 def _cmd_train(args, argv):
-    from fdl.training import TrainConfig, build_toy, train
+    from fdl.training import TrainConfig, train
 
     started = time.time()
     env_seed = _env_seed()
     cfg = TrainConfig.from_json(_read_json(args.config))
     if env_seed is not None:
         cfg = dataclasses.replace(cfg, seed=env_seed)
-    model = build_toy(seed=cfg.seed, init_mode=cfg.init_mode, bias_mode=cfg.bias_mode)
-    history = train(model, cfg)
+    model, history = train(cfg)
     run_dir = args.out or os.path.join("runs", f"train-seed{cfg.seed}")
     files = {"checkpoint": model, "history.json": history.to_json()}
     _finish_run(run_dir, argv, started, cfg.to_json(), files, cfg.seed)

@@ -29,7 +29,7 @@ from .datasets import NoiseModel, add_noise, piecewise_scene
 from .errors import ConfigError, is_kind
 from .framelets import PhaseComplementReport, check_phase_complementary
 from .metrics import estimate_sigma_mad, snr_db
-from .training import ToyModel, TrainConfig, TrainHistory, build_toy, train
+from .training import ToyModel, TrainConfig, TrainHistory, train
 
 __all__ = [
     "NOISE_LEVELS",
@@ -62,15 +62,13 @@ MODELS = {
 class ExperimentConfig:
     """Shared knobs of the trained-model experiments.
 
-    Defaults are the full protocol of :class:`TrainConfig`; desk-scale runs
-    shrink ``epochs`` and ``images_per_epoch``.
+    Its defaults, and the fields it lacks, come from :class:`TrainConfig`;
+    desk-scale runs shrink ``epochs`` and ``images_per_epoch``.
     """
 
     seed: int = TrainConfig.seed
     epochs: int = TrainConfig.epochs
     images_per_epoch: int = TrainConfig.images_per_epoch
-    lr_initial: float = TrainConfig.lr_initial
-    sigma_train: float = TrainConfig.sigma_train
     image_size: tuple = TrainConfig.image_size
     test_image_size: int = 256
 
@@ -99,8 +97,7 @@ def train_models(cfg: ExperimentConfig, keys, trained=None) -> dict:
     for init_mode, bias_mode in keys:
         train_cfg = TrainConfig(**protocol, init_mode=init_mode, bias_mode=bias_mode)
         if train_cfg not in trained:
-            model = build_toy(seed=cfg.seed, init_mode=init_mode, bias_mode=bias_mode)
-            trained[train_cfg] = model, train(model, train_cfg)
+            trained[train_cfg] = train(train_cfg)
         models[init_mode, bias_mode] = trained[train_cfg]
     return models
 
@@ -306,7 +303,7 @@ def run_generalization_experiment(cfg: ExperimentConfig, trained=None) -> Genera
         sigma_hat = estimate_sigma_mad(noisy)
         estimates.append(float(sigma_hat))
         out_base = baseline.predict(noisy)
-        out_adap = baseline.predict(noisy, bias_scale=sigma_hat / cfg.sigma_train)
+        out_adap = baseline.predict(noisy, bias_scale=sigma_hat / TrainConfig.sigma_train)
         out_free = bias_free.predict(noisy)
         rows["noisy"].append(snr_db(clean, noisy))
         rows["baseline"].append(snr_db(clean, out_base))
@@ -318,7 +315,7 @@ def run_generalization_experiment(cfg: ExperimentConfig, trained=None) -> Genera
         images[f"bias_free_{sigma:.3f}"] = out_free
     return GeneralizationReport(
         seed=cfg.seed,
-        sigma_train=cfg.sigma_train,
+        sigma_train=TrainConfig.sigma_train,
         noise_levels=NOISE_LEVELS,
         snr_noisy_input=rows["noisy"],
         snr_baseline=rows["baseline"],
@@ -364,4 +361,4 @@ def run_named_experiment(name, cfg: ExperimentConfig, trained=None):
     if name == "generalization":
         return run_generalization_experiment(cfg, trained)
     ((model, _),) = train_models(cfg, MODELS["bias-zero"], trained).values()
-    return run_bias_zero_probe(model, cfg.test_image(), sigma=cfg.sigma_train, seed=cfg.seed)
+    return run_bias_zero_probe(model, cfg.test_image(), TrainConfig.sigma_train, cfg.seed)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .framelets import haar_dwt
 from .tensor import as_tensor4, conv2d
 
@@ -20,7 +20,9 @@ MAD_TO_SIGMA = 1.4826
 
 def snr_db(reference, estimate) -> float:
     """Signal-to-noise ratio ``10 log10(|x|^2 / |x - x_hat|^2)`` in dB,
-    at most :data:`SNR_CAP_DB`."""
+    at most :data:`SNR_CAP_DB`, the value of an identical estimate.  Any
+    other estimate of a reference with zero energy has no SNR and raises
+    :class:`~fdl.errors.ConfigError`."""
     reference = as_tensor4(reference, "reference")
     estimate = as_tensor4(estimate, "estimate")
     if reference.shape != estimate.shape:
@@ -29,6 +31,8 @@ def snr_db(reference, estimate) -> float:
     sig = float(np.sum(reference**2))
     if err == 0.0:
         return SNR_CAP_DB
+    if sig == 0.0:
+        raise ConfigError("the reference has zero energy, so its SNR is undefined")
     return min(SNR_CAP_DB, 10.0 * np.log10(sig / err))
 
 

@@ -6,6 +6,10 @@ biases throughout, a channel-symmetric decoder applied through the tensor
 transpose, and no resampling.  Training pairs noisy triangle images with
 their clean versions under a mean-squared-error loss, Adam, batch size 1,
 and a learning rate decaying linearly to zero over the epochs.
+``train(cfg)`` builds the model a :class:`TrainConfig` names and returns
+``(model, history)``; the experiments' ``ExperimentConfig`` sets five
+fields (``seed``, ``epochs``, ``images_per_epoch``, ``image_size`` and
+``test_image_size``) and trains at this protocol's other defaults.
 
 Everything is reproducible: all randomness derives from the config seed
 through fixed-purpose seed tuples, so a rerun with the same config is
@@ -251,12 +255,14 @@ def _validation_set(cfg: TrainConfig):
     return clean, noisy
 
 
-def train(model: ToyModel, cfg: TrainConfig) -> TrainHistory:
-    """Run the full protocol; returns the per-epoch history.
+def train(cfg: TrainConfig) -> tuple:
+    """Train ``build_toy(cfg.seed, cfg.init_mode, cfg.bias_mode)`` under the
+    full protocol; returns ``(model, history)``.
 
     A fresh set of triangle images is generated every epoch; noise is
     drawn per image, and every image is one Adam step (batch size 1).
     """
+    model = build_toy(cfg.seed, cfg.init_mode, cfg.bias_mode)
     optimizer = Adam(model.parameters())
     history = TrainHistory()
     val_clean, val_noisy = _validation_set(cfg) if cfg.n_validation > 0 else (None, None)
@@ -290,11 +296,12 @@ def train(model: ToyModel, cfg: TrainConfig) -> TrainHistory:
             row["val_mse"] = float(
                 np.mean([(o - val_clean[i]) ** 2 for i, o in enumerate(outs)])
             )
-            row["val_snr_db"] = float(
-                np.mean([snr_db(val_clean[i], o) for i, o in enumerate(outs)])
-            )
+            # a blank image has no SNR (snr_db); without any other there is no key
+            snrs = [snr_db(val_clean[i], o) for i, o in enumerate(outs) if val_clean[i].any()]
+            if snrs:
+                row["val_snr_db"] = float(np.mean(snrs))
         history.append(**row)
-    return history
+    return model, history
 
 
 # ---------------------------------------------------------------------------

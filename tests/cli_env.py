@@ -4,6 +4,7 @@ The children run with a temp dir as their working directory, so a relative
 ``PYTHONPATH`` entry such as ``src`` no longer finds the package there.
 """
 
+import json
 import os
 from pathlib import Path
 
@@ -26,3 +27,14 @@ def cli_env(extra=None):
     env["PYTHONPATH"] = os.pathsep.join([FDL_PARENT] + inherited)
     env.update(extra or {})
     return env
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def read_json_strict(path):
+    """The JSON file at ``path``, rejecting ``NaN``, ``Infinity`` and
+    ``-Infinity``: Python's ``json`` writes and reads them, but they are
+    not JSON, so a run file holding one fails the test that reads it."""
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)

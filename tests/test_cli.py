@@ -14,7 +14,7 @@ from fdl.cli import _THREAD_VARS, _pin_threads
 from fdl.datasets import NoiseModel, add_noise, piecewise_scene
 from fdl.pnm import read_image, write_pgm
 
-from cli_env import cli_env
+from cli_env import cli_env, read_json_strict
 
 
 def run_cli(args, cwd, env=None):
@@ -127,7 +127,7 @@ class TestDenoiseCommand:
             cwd=workdir,
         )
         assert result.returncode == 0, result.stderr
-        metrics = json.loads((workdir / "out" / "metrics.json").read_text())
+        metrics = read_json_strict(workdir / "out" / "metrics.json")
         assert metrics["snr_gain_db"] > 0
 
     def test_svd_full_rank_is_identity(self, workdir):
@@ -168,11 +168,26 @@ class TestDenoiseCommand:
         assert run_cli(demo, cwd=workdir).returncode == 0
         result = run_cli(["denoise", "noisy.pgm", "--out", "run"], cwd=workdir)
         assert result.returncode == 0, result.stderr
-        manifest = json.loads((workdir / "run" / "manifest.json").read_text())
+        manifest = read_json_strict(workdir / "run" / "manifest.json")
         assert manifest["outputs"] == ["denoised.pgm", "metrics.json"]
         # the earlier run's files stay in place
         assert (workdir / "run" / "snr_table.csv").exists()
         assert (workdir / "run" / "clean_rank4.pgm").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["noisy.pgm", "--reference", "blank.pgm"],
+         ["blank.pgm", "--method", "svd-lowrank", "--rank", "1,2"]],
+        ids=["reference", "rank-demo"],
+    )
+    def test_blank_reference_exit_3(self, workdir, args):
+        # a reference of zero energy has no SNR: NaN and -Infinity are not JSON
+        write_pgm(workdir / "blank.pgm", np.zeros((64, 64)))
+        result = run_cli(["denoise", *args, "--out", "out"], cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        want = "fdl: blank.pgm: the reference has zero energy, so its SNR is undefined\n"
+        assert result.stderr == want
+        assert not (workdir / "out").exists()
 
     def test_missing_file_exit_2(self, workdir):
         result = run_cli(["denoise", "absent.pgm"], cwd=workdir)
@@ -295,7 +310,7 @@ class TestAnalyzeAndFlops:
         payload = json.loads(result.stdout)
         assert payload["is_perfect"] is False
         assert payload["gain_dc"] == pytest.approx(2.0, abs=1e-6)
-        saved = json.loads((tmp_path / "report" / "pr_report.json").read_text())
+        saved = read_json_strict(tmp_path / "report" / "pr_report.json")
         assert saved == payload
 
     @pytest.mark.parametrize(
@@ -428,7 +443,7 @@ class TestTrainCommand:
         fresh = build_toy(seed=5)
         for a, b in zip(loaded.parameters(), fresh.parameters()):
             assert a.value.tobytes() == b.value.tobytes()
-        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        manifest = read_json_strict(tmp_path / "run" / "manifest.json")
         written = sorted(
             str(p.relative_to(tmp_path / "run"))
             for p in (tmp_path / "run").rglob("*")
@@ -443,7 +458,7 @@ class TestTrainCommand:
             ["train", "cfg.json", "--out", "run"], cwd=tmp_path, env={"FDL_SEED": "11"}
         )
         assert result.returncode == 0, result.stderr
-        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        manifest = read_json_strict(tmp_path / "run" / "manifest.json")
         assert manifest["seed"] == 11
 
     @pytest.mark.parametrize(
@@ -506,6 +521,16 @@ class TestTrainCommand:
         assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
         assert not (tmp_path / "run").exists()
 
+    def test_blank_validation_images_write_strict_json(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(TINY_TRAIN, triangles_per_image=[0, 0])))
+        result = run_cli(["train", "cfg.json", "--out", "run"], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        history = read_json_strict(tmp_path / "run" / "history.json")
+        (row,) = history["epochs"]
+        assert sorted(row) == ["epoch", "lr", "train_loss", "val_mse"]
+        assert read_json_strict(tmp_path / "run" / "manifest.json")["seed"] == 5
+        assert "RuntimeWarning" not in result.stderr
+
     def test_integral_numbers_accepted_for_real_fields(self, tmp_path):
         cfg = dict(TINY_TRAIN, epochs=0, lr_initial=1, intensity_range=[0, 1])
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -518,6 +543,7 @@ class TestTrainCommand:
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         result = run_cli(["train", "cfg.json", "--out", "run"], cwd=tmp_path)
         assert result.returncode == 0, result.stderr
+        assert len(read_json_strict(tmp_path / "run" / "history.json")["epochs"]) == 4
 
         clean = piecewise_scene(64)
         noisy = add_noise(clean, NoiseModel(0.1, seed=1))
@@ -539,7 +565,7 @@ class TestTrainCommand:
             cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
-        metrics = json.loads((tmp_path / "den" / "metrics.json").read_text())
+        metrics = read_json_strict(tmp_path / "den" / "metrics.json")
         assert metrics["snr_gain_db"] > 0
 
 
@@ -567,7 +593,7 @@ class TestDamagedCheckpoint:
         assert "Traceback" not in result.stderr
 
     def test_missing_entry_exit_3(self, workdir, checkpoint):
-        manifest = json.loads((checkpoint / "checkpoint.json").read_text())
+        manifest = read_json_strict(checkpoint / "checkpoint.json")
         manifest["parameters"] = [
             e for e in manifest["parameters"] if e["name"] != "enc_bias_2"
         ]
@@ -610,7 +636,7 @@ class TestDamagedCheckpoint:
              "contradicting-bias-mode", "reordered-parameters", "float-width"],
     )
     def test_wrongly_typed_manifest_exit_3(self, workdir, checkpoint, damage, named):
-        manifest = json.loads((checkpoint / "checkpoint.json").read_text())
+        manifest = read_json_strict(checkpoint / "checkpoint.json")
         (checkpoint / "checkpoint.json").write_text(json.dumps(damage(manifest)))
         result = self.denoise(workdir)
         assert result.returncode == 3, result.stderr
@@ -686,7 +712,7 @@ class TestExperimentCommand:
         monkeypatch.chdir(tmp_path)
         assert main(["experiment", "tight-frame", *flags]) == 0
         assert handed == [("tight-frame", ExperimentConfig(**expected))]
-        manifest = json.loads((tmp_path / "runs" / run_dir / "manifest.json").read_text())
+        manifest = read_json_strict(tmp_path / "runs" / run_dir / "manifest.json")
         assert manifest["seed"] == ExperimentConfig(**expected).seed
 
     def test_negative_seed_exit_3(self, tmp_path):
@@ -720,6 +746,7 @@ class TestExperimentCommand:
         rows = (tmp_path / "run" / "snr_table.csv").read_text().strip().splitlines()
         assert len(rows) == 4  # header + 3 models
         assert rows[0].count("sigma_") == 5
+        assert read_json_strict(tmp_path / "run" / "report.json")["experiment"] == "generalization"
 
     def test_repeat_run_byte_identical(self, tmp_path):
         args = [
@@ -744,6 +771,7 @@ class TestExperimentCommand:
         assert a.keys() == b.keys()
         for name in a:
             assert a[name] == b[name], f"{name} differs between reruns"
+        assert read_json_strict(tmp_path / "run_a" / "report.json")["experiment"] == "tight-frame"
         # stdout reports are identical too
         assert r1.stdout == r2.stdout
 
@@ -768,7 +796,8 @@ class TestExperimentCommand:
             cwd=tmp_path,
         )
         assert result.returncode == 0, result.stderr
-        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        manifest = read_json_strict(tmp_path / "run" / "manifest.json")
         assert manifest["seed"] == 3
         assert manifest["command"][0] == "fdl"
         assert "report.json" in manifest["outputs"]
+        assert read_json_strict(tmp_path / "run" / "report.json")["experiment"] == "bias-zero"

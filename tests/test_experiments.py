@@ -1,5 +1,6 @@
 """Datasets, metrics, training loop, and experiment plumbing (fast scale)."""
 
+import itertools
 import json
 import pathlib
 import time
@@ -7,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from fdl import experiments, tensor
+from fdl import experiments, tensor, training
 from fdl.cli import _finish_run
 from fdl.datasets import NoiseModel, add_noise, gen_triangles, piecewise_scene
 from fdl.errors import ConfigError, ShapeError
@@ -22,6 +23,8 @@ from fdl.experiments import (
 )
 from fdl.metrics import SNR_CAP_DB, estimate_sigma_mad, snr_db
 from fdl.training import (
+    BIAS_MODES,
+    INIT_MODES,
     TrainConfig,
     build_toy,
     load_checkpoint,
@@ -118,6 +121,12 @@ class TestSnr:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             snr_db(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 8, 8)))
+
+    def test_zero_energy_reference_has_no_snr(self):
+        blank = np.zeros((1, 1, 4, 4))
+        with pytest.raises(ConfigError, match="reference has zero energy"):
+            snr_db(blank, blank + 0.5)
+        assert snr_db(blank, blank) == SNR_CAP_DB  # identical images stay capped
 
 
 class TestScene:
@@ -221,16 +230,35 @@ def tiny_cfg(**kw):
 
 class TestTraining:
     def test_zero_epochs_keeps_initialization(self):
-        model = build_toy(seed=5)
-        before = [p.value.copy() for p in model.parameters()]
-        history = train(model, tiny_cfg(epochs=0))
-        assert history.epochs == []
-        for p, b in zip(model.parameters(), before):
-            np.testing.assert_array_equal(p.value, b)
+        # the initialization of the model the config names, for every pair of modes
+        for init_mode, bias_mode in itertools.product(INIT_MODES, BIAS_MODES):
+            cfg = tiny_cfg(epochs=0, init_mode=init_mode, bias_mode=bias_mode)
+            model, history = train(cfg)
+            assert history.epochs == []
+            fresh = build_toy(cfg.seed, cfg.init_mode, cfg.bias_mode)
+            for p, b in zip(model.parameters(), fresh.parameters(), strict=True):
+                assert p.value.tobytes() == b.value.tobytes(), (init_mode, bias_mode)
+                assert p.trainable is b.trainable
+
+    def test_blank_validation_image_leaves_the_snr_mean_of_the_others(self, monkeypatch):
+        cfg = tiny_cfg(n_validation=3)
+        clean, noisy = training._validation_set(cfg)
+        clean[1] = 0.0
+        monkeypatch.setattr(training, "_validation_set", lambda _: (clean, noisy))
+        model, history = train(cfg)
+        (row,) = history.epochs
+        outs = [model.predict(noisy[i]) for i in range(3)]
+        want = np.mean([snr_db(clean[i], outs[i]) for i in (0, 2)])
+        assert np.isfinite(row["val_snr_db"]) and row["val_snr_db"] == want
+        assert row["val_mse"] == np.mean([(o - clean[i]) ** 2 for i, o in enumerate(outs)])
+
+    def test_all_blank_validation_has_no_snr(self):
+        _, history = train(tiny_cfg(triangles_per_image=(0, 0)))
+        (row,) = history.epochs
+        assert "val_snr_db" not in row and row["val_mse"] >= 0.0
 
     def test_history_rows(self):
-        model = build_toy(seed=6)
-        history = train(model, tiny_cfg(epochs=2))
+        _, history = train(tiny_cfg(seed=6, epochs=2))
         assert len(history.epochs) == 2
         assert {"epoch", "lr", "train_loss", "val_mse", "val_snr_db"} <= set(history.epochs[0])
         assert history.epochs[0]["lr"] == pytest.approx(1e-3)
@@ -239,8 +267,7 @@ class TestTraining:
     def test_bit_reproducible(self):
         results = []
         for _ in range(2):
-            model = build_toy(seed=7, init_mode="shared_enc_dec")
-            train(model, tiny_cfg(seed=7))
+            model, _ = train(tiny_cfg(seed=7, init_mode="shared_enc_dec"))
             results.append(b"".join(p.value.tobytes() for p in model.parameters()))
         assert results[0] == results[1]
 
@@ -262,13 +289,12 @@ class TestTraining:
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
-            train(build_toy(seed=0), tiny_cfg(seed=-1))
+            train(tiny_cfg(seed=-1))
 
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
-        model = build_toy(seed=8)
-        train(model, tiny_cfg())
+        model, _ = train(tiny_cfg(seed=8))
         save_checkpoint(model, tmp_path)
         clone = load_checkpoint(tmp_path)
         for a, b in zip(model.parameters(), clone.parameters()):
@@ -397,9 +423,9 @@ class TestTrainModels:
         """The ``TrainConfig`` of every training the experiments start."""
         calls = []
 
-        def counting_train(model, cfg):
+        def counting_train(cfg):
             calls.append(cfg)
-            return train(model, cfg)
+            return train(cfg)
 
         monkeypatch.setattr(experiments, "train", counting_train)
         return calls
