@@ -25,7 +25,6 @@ __all__ = [
     "SHRINK_KINDS",
     "DOG_KINDS",
     "ACTIVATION_KINDS",
-    "map_threshold",
     "relu_bias",
     "soft_shrink",
     "soft_clip",
@@ -76,20 +75,6 @@ def _broadcast(t, z):
             f"tensor of shape {z.shape}"
         )
     return vec[:, None, None, None]
-
-
-def map_threshold(sigma_eta, sigma_d) -> float:
-    """Pointwise estimation threshold of one detail band: noise variance
-    ``sigma_eta**2`` over signal dispersion ``sigma_d``.
-
-    Strong signal presence drives the threshold toward zero; a nearly empty
-    band gets a huge threshold and is suppressed entirely.
-    """
-    if sigma_eta <= 0 or sigma_d <= 0:
-        raise ConfigError(
-            f"dispersions must be positive, got sigma_eta={sigma_eta}, sigma_d={sigma_d}"
-        )
-    return sigma_eta**2 / sigma_d
 
 
 @dataclass(frozen=True)

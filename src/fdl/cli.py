@@ -211,7 +211,7 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise _IoError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # malformed JSON or not UTF-8
+    except (ValueError, RecursionError) as exc:  # malformed JSON, not UTF-8, or nested too deep
         raise _IoError(f"cannot parse {path}: {exc}") from exc
 
 
@@ -266,7 +266,7 @@ def _cmd_denoise(args, argv):
 
     from fdl.activations import ActivationSpec
     from fdl.errors import ConfigError
-    from fdl.framelets import denoise_framelet, detail_band_mask, framelet_forward, haar_dwt
+    from fdl.framelets import denoise_framelet, framelet_forward, haar_dwt, map_thresholds
     from fdl.lowrank import lowrank_approx, lowrank_denoise_demo, svd
     from fdl.metrics import estimate_sigma_mad, snr_db
     from fdl.tensor import as_image
@@ -282,16 +282,12 @@ def _cmd_denoise(args, argv):
     out = None  # stays None for the per-rank demo, which writes its own images
 
     if args.method == "wavelet-shrink":
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         decimated = not args.undecimated
         if args.threshold == "auto":
             sigma_hat = estimate_sigma_mad(y)
             bands = framelet_forward(basis, y, decimated=decimated)
-            detail = detail_band_mask(basis)
-            sigma_d = np.sqrt(
-                np.maximum(bands[detail].var(axis=(1, 2, 3)) - sigma_hat**2, 1e-12)
-            )
-            t = sigma_hat**2 / sigma_d
+            t = map_thresholds(basis, bands, sigma_hat)
             params.update(sigma_hat=sigma_hat, threshold=[float(v) for v in t])
         else:
             try:

@@ -352,13 +352,13 @@ def response_mosaic(response) -> tuple:
     return 0.5 + 0.5 * mosaic / scale, scale
 
 
-def run_named_experiment(name, cfg: ExperimentConfig, trained=None):
+def run_named_experiment(name, cfg: ExperimentConfig):
     """Dispatch used by the command-line layer; returns the report."""
     if name not in MODELS:
         raise ConfigError(f"unknown experiment {name!r}; valid names: {', '.join(MODELS)}")
     if name == "tight-frame":
-        return run_tight_frame_experiment(cfg, trained)
+        return run_tight_frame_experiment(cfg)
     if name == "generalization":
-        return run_generalization_experiment(cfg, trained)
-    ((model, _),) = train_models(cfg, MODELS["bias-zero"], trained).values()
+        return run_generalization_experiment(cfg)
+    ((model, _),) = train_models(cfg, MODELS["bias-zero"]).values()
     return run_bias_zero_probe(model, cfg.test_image(), TrainConfig.sigma_train, cfg.seed)

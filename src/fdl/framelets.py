@@ -19,7 +19,13 @@ The bundled bank is the separable 2-D Haar bank: four 2x2 filters with
 entries ``+-1/2`` embedded in 3x3 kernels so that convolution stays
 centered.  Analysis taps sit at offsets ``{0, 1}`` and synthesis taps at
 ``{-1, 0}``, which makes the decimated round trip exact with phase-0
-down-sampling.
+down-sampling.  :func:`haar_dwt` returns its basis, in band order LL, LH,
+HL, HH; the basis is measured once per process and shared, with
+read-only filters.
+
+A shrinkage threshold is a rectifier's bias read in the detail bands of a
+frame.  :func:`map_thresholds` states the MAP rule for it: per detail
+band, the noise variance over the band's signal dispersion.
 
 Bases are immutable after construction; every function here is reentrant.
 """
@@ -27,6 +33,7 @@ Bases are immutable after construction; every function here is reentrant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -44,7 +51,6 @@ from .tensor import (
 
 __all__ = [
     "FrameletBasis",
-    "HaarBank",
     "PhaseComplementReport",
     "make_basis",
     "haar_dwt",
@@ -54,6 +60,7 @@ __all__ = [
     "check_phase_complementary",
     "denoise_framelet",
     "detail_band_mask",
+    "map_thresholds",
 ]
 
 
@@ -154,50 +161,19 @@ def _embed_analysis(tap_v, tap_h):
     return f
 
 
-@dataclass(frozen=True)
-class HaarBank:
-    """Separable 2-D Haar bank split into low and detail partitions.
-
-    Band order is LL, LH, HL, HH (LH carries horizontal detail, HL
-    vertical, HH diagonal).
-    """
-
-    w: np.ndarray
-    w_tilde: np.ndarray
-
-    @property
-    def w_low(self):
-        return self.w[:1]
-
-    @property
-    def w_high(self):
-        return self.w[1:]
-
-    @property
-    def w_low_tilde(self):
-        return self.w_tilde[:1]
-
-    @property
-    def w_high_tilde(self):
-        return self.w_tilde[1:]
-
-    @property
-    def f_hh(self):
-        """Diagonal detail filter, unit L2 norm; used by the noise
-        estimator."""
-        return self.w[3:4]
-
-    def basis(self) -> FrameletBasis:
-        return make_basis(self.w, self.w_tilde)
-
-
-def haar_dwt() -> HaarBank:
-    """Orthonormal 2-D Haar bank; decimated round trip is exact with
-    constant 1."""
+@cache
+def haar_dwt() -> FrameletBasis:
+    """The orthonormal 2-D Haar basis, bands LL, LH, HL, HH (LH carries
+    horizontal detail, HL vertical, HH diagonal); its decimated round trip
+    is exact with constant 1.  Measured on the first call and shared after
+    it, so its filters are read-only."""
     pairs = [(_LOW, _LOW), (_LOW, _HIGH), (_HIGH, _LOW), (_HIGH, _HIGH)]
     w = np.stack([_embed_analysis(v, h)[None] for v, h in pairs])
     w_tilde = w[:, :, ::-1, ::-1].copy()  # 180-degree rotation per filter
-    return HaarBank(w=w, w_tilde=w_tilde)
+    basis = make_basis(w, w_tilde)
+    basis.forward.flags.writeable = False
+    basis.inverse.flags.writeable = False
+    return basis
 
 
 def framelet_forward(basis: FrameletBasis, y, decimated=False) -> np.ndarray:
@@ -209,15 +185,21 @@ def framelet_forward(basis: FrameletBasis, y, decimated=False) -> np.ndarray:
     return conv2d(basis.forward, y)
 
 
+def _checked_bands(basis, bands):
+    """``bands`` as a 4-D tensor holding one row per band of ``basis``."""
+    bands = as_tensor4(bands, "bands")
+    if bands.shape[0] != basis.n_bands:
+        raise ShapeError(f"expected {basis.n_bands} bands, got {bands.shape[0]}")
+    return bands
+
+
 def framelet_inverse(basis: FrameletBasis, bands, decimated=False) -> np.ndarray:
     """Synthesize an image from framelet bands.
 
     Applies the reconstruction constant measured at construction so the
     round trip with :func:`framelet_forward` is the identity.
     """
-    bands = as_tensor4(bands, "bands")
-    if bands.shape[0] != basis.n_bands:
-        raise ShapeError(f"expected {basis.n_bands} bands, got {bands.shape[0]}")
+    bands = _checked_bands(basis, bands)
     if decimated:
         if basis.c_decimated is None:
             raise ConfigError("basis does not reconstruct from decimated bands")
@@ -304,3 +286,20 @@ def denoise_framelet(basis: FrameletBasis, y, act: ActivationSpec, decimated=Tru
     if np.any(detail):
         out[detail] = apply_activation(act, bands[detail])
     return framelet_inverse(basis, out, decimated=decimated)
+
+
+def map_thresholds(basis: FrameletBasis, bands, sigma) -> np.ndarray:
+    """MAP shrinkage threshold of each detail band of ``bands``, the
+    framelet coefficients of one image under ``basis``, at noise standard
+    deviation ``sigma``: ``sigma**2 / sigma_d``, where the signal dispersion
+    ``sigma_d = sqrt(max(var - sigma**2, 1e-12))`` comes from the band's
+    variance.
+
+    Strong signal drives a threshold toward zero; a band of noise alone
+    gets a huge threshold and is suppressed.  ``sigma = 0`` gives zero
+    thresholds.
+    """
+    bands = _checked_bands(basis, bands)
+    detail = detail_band_mask(basis)
+    sigma_d = np.sqrt(np.maximum(bands[detail].var(axis=(1, 2, 3)) - sigma**2, 1e-12))
+    return sigma**2 / sigma_d

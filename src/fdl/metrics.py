@@ -46,5 +46,5 @@ def estimate_sigma_mad(y) -> float:
     y = as_tensor4(y, "image")
     if y.shape[2] < 2 or y.shape[3] < 2:
         raise ShapeError(f"image must be at least 2x2, got {y.shape}")
-    diagonal = conv2d(haar_dwt().f_hh, y)
+    diagonal = conv2d(haar_dwt().forward[3:], y)  # HH, a filter of unit L2 norm
     return MAD_TO_SIGMA * float(np.median(np.abs(diagonal)))

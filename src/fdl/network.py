@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import MISSING, dataclass, fields
+from functools import cache
 from numbers import Integral, Real
 from types import SimpleNamespace
 
@@ -61,26 +62,24 @@ __all__ = [
 TOY_WIDTHS = (6, 12, 24)
 
 
+@cache
 def _resample_filters():
     """``(bands, 1, k, k)`` filter stack of each resampling kind, read-only
     because every evaluation shares them: the analysis stack going down, the
     synthesis stack going up.  ``plain`` is the one-band unit filter (keep
-    phase 0 / insert zeros); the DWT kinds are Haar banks."""
-    bank = haar_dwt()
+    phase 0 / insert zeros); the DWT kinds take the Haar bands LL, LH, HL,
+    HH by that order.  Built on first use, so importing this module does not
+    measure the Haar basis."""
+    haar = haar_dwt()
     unit = np.ones((1, 1, 1, 1))
-    stacks = {
+    unit.flags.writeable = False
+    return {
         "plain": {"down": unit, "up": unit},
-        "dwt_low": {"down": bank.w_low, "up": bank.w_low_tilde},
-        "dwt_high": {"down": bank.w_high, "up": bank.w_high_tilde},
-        "dwt_full": {"down": bank.w, "up": bank.w_tilde},
+        "dwt_low": {"down": haar.forward[:1], "up": haar.inverse[:1]},
+        "dwt_high": {"down": haar.forward[1:], "up": haar.inverse[1:]},
+        "dwt_full": {"down": haar.forward, "up": haar.inverse},
     }
-    for pair in stacks.values():
-        for filters in pair.values():
-            filters.flags.writeable = False
-    return stacks
 
-
-_RESAMPLE_FILTERS = _resample_filters()
 
 
 @dataclass(frozen=True)
@@ -175,9 +174,9 @@ def validate_spec(spec: NetworkSpec) -> list:
         elif isinstance(layer, Resample):
             if layer.direction not in ("down", "up"):
                 raise ConfigError(f"layer {idx}: bad resample direction {layer.direction!r}")
-            if layer.kind not in _RESAMPLE_FILTERS:
+            if layer.kind not in _resample_filters():
                 raise ConfigError(f"layer {idx}: bad resample kind {layer.kind!r}")
-            bands = _RESAMPLE_FILTERS[layer.kind]["down"].shape[0]
+            bands = _resample_filters()[layer.kind]["down"].shape[0]
             if layer.direction == "down":
                 nodes.append((c_in * bands, level + 1))
             elif c_in % bands:
@@ -506,7 +505,7 @@ def evaluate(spec: NetworkSpec, conv_weights, x, ops):
             out = ops.act(out, layer.spec)
         elif isinstance(layer, Resample):
             bank = ops.bank_down if layer.direction == "down" else ops.bank_up
-            out = bank(_RESAMPLE_FILTERS[layer.kind][layer.direction], out)
+            out = bank(_resample_filters()[layer.kind][layer.direction], out)
         else:  # SkipAdd
             out = ops.add(out, kept[layer.from_])
         if idx in named:

@@ -364,6 +364,22 @@ def _conv_strips(kernel, signal, rows):
     return flat[: ko * sc * size].reshape(ko, sc, h, w)
 
 
+def _conv_operands(kernel, signal, axis):
+    """``(kernel, signal, mix)`` of a conv whose kernel ``axis`` (0 rows,
+    1 columns) meets the signal's rows; ``mix`` is :func:`_pointwise`'s
+    matrix of the kernel, or ``None``."""
+    kernel = as_tensor4(kernel, "kernel")
+    signal = as_tensor4(signal, "signal")
+    if kernel.shape[axis] != signal.shape[0]:
+        raise ShapeError(
+            f"channel mismatch: kernel {('rows', 'columns')[axis]} {kernel.shape[axis]} "
+            f"vs signal rows {signal.shape[0]}"
+        )
+    if kernel.shape[2] % 2 == 0 or kernel.shape[3] % 2 == 0:
+        raise ConfigError(f"kernel spatial dims must be odd, got {kernel.shape[2:]}")
+    return kernel, signal, _pointwise(kernel)
+
+
 def conv2d(kernel, signal) -> np.ndarray:
     """Tensor convolution of a kernel with a signal.
 
@@ -373,15 +389,7 @@ def conv2d(kernel, signal) -> np.ndarray:
     signal's.  A large conv is computed in strips of rows
     (:func:`_conv_strips`) with the same products and sums.
     """
-    kernel = as_tensor4(kernel, "kernel")
-    signal = as_tensor4(signal, "signal")
-    if kernel.shape[1] != signal.shape[0]:
-        raise ShapeError(
-            f"channel mismatch: kernel columns {kernel.shape[1]} vs signal rows {signal.shape[0]}"
-        )
-    if kernel.shape[2] % 2 == 0 or kernel.shape[3] % 2 == 0:
-        raise ConfigError(f"kernel spatial dims must be odd, got {kernel.shape[2:]}")
-    mix = _pointwise(kernel)
+    kernel, signal, mix = _conv_operands(kernel, signal, 1)
     if mix is not None:
         return _channel_mix(mix, signal)
     rows = _strip_rows(kernel.shape, signal.shape)
@@ -398,15 +406,7 @@ def conv2d_adjoint(kernel, signal) -> np.ndarray:
     ``x``, ``y``; equivalently, convolution with the channel-transposed and
     spatially reversed kernel.
     """
-    kernel = as_tensor4(kernel, "kernel")
-    signal = as_tensor4(signal, "signal")
-    if kernel.shape[0] != signal.shape[0]:
-        raise ShapeError(
-            f"channel mismatch: kernel rows {kernel.shape[0]} vs signal rows {signal.shape[0]}"
-        )
-    if kernel.shape[2] % 2 == 0 or kernel.shape[3] % 2 == 0:
-        raise ConfigError(f"kernel spatial dims must be odd, got {kernel.shape[2:]}")
-    mix = _pointwise(kernel)
+    kernel, signal, mix = _conv_operands(kernel, signal, 0)
     if mix is not None:
         return _channel_mix(mix.T, signal)
     return _conv_grad_signal(kernel, signal)

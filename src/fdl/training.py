@@ -360,14 +360,15 @@ def save_checkpoint(model: ToyModel, directory) -> list:
 def load_checkpoint(directory) -> ToyModel:
     """Rebuild a model from :func:`save_checkpoint` output.  Each parameter
     is read from its own file name inside ``directory``, and the manifest
-    must be exactly the one :func:`save_checkpoint` writes for the model."""
+    must be exactly the one :func:`save_checkpoint` writes for the model.
+    Every parameter value must be finite."""
     path = os.path.join(directory, _MANIFEST_FILE)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"no checkpoint manifest at {path}") from exc
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ConfigError(f"cannot parse checkpoint manifest {path}: {exc}") from exc
     fmt = manifest.get("format") if isinstance(manifest, dict) else None
     if fmt != CHECKPOINT_FORMAT:
@@ -381,6 +382,8 @@ def load_checkpoint(directory) -> ToyModel:
                 f"checkpoint file {file} holds {got} bytes, shape {shape} needs {want}"
             )
         raw = np.fromfile(file, dtype="<f8").reshape(shape)
+        if not np.all(np.isfinite(raw)):
+            raise ConfigError(f"checkpoint file {file} holds a non-finite value")
         return ad.Parameter(raw, entries[name]["trainable"])
 
     try:

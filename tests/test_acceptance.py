@@ -83,7 +83,7 @@ def generalization_runs(desk_models):
 class TestCriterion1:
     def test_framelet_round_trips(self):
         started = time.perf_counter()
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         rng = np.random.default_rng(0)
         worst = 0.0
         for _ in range(100):
@@ -104,7 +104,7 @@ class TestCriterion1:
 
 class TestCriterion2:
     def test_phase_complementary_relu_reconstruction(self):
-        pct = phase_complement(haar_dwt().basis())
+        pct = phase_complement(haar_dwt())
         rng = np.random.default_rng(1)
         worst = 0.0
         for _ in range(20):

@@ -13,13 +13,13 @@ from fdl.activations import (
     dog_clip,
     dog_shrink,
     garrote_shrink,
-    map_threshold,
     relu_bias,
     shrink_as_relu,
     soft_clip,
     soft_shrink,
 )
 from fdl.errors import ConfigError
+from fdl.framelets import haar_dwt, map_thresholds
 
 
 # The threshold at which each kind passes its input unchanged; None for the
@@ -38,21 +38,36 @@ def _with_threshold(kind, t):
     return ActivationSpec(kind, t=t, p=4)
 
 
+def detail_bands_of_variance(*variances):
+    """Haar bands whose low band is a constant and whose detail band ``k``
+    is a checkerboard of variance ``variances[k - 1]``."""
+    rr, cc = np.mgrid[0:8, 0:8]
+    checker = (-1.0) ** (rr + cc)
+    return np.stack([np.full((1, 8, 8), 5.0)] + [np.sqrt(v) * checker[None] for v in variances])
+
+
 class TestMapThreshold:
+    """The MAP rule ``sigma**2 / sigma_d`` of :func:`fdl.framelets.map_thresholds`."""
+
     def test_direct_substitution(self):
-        assert map_threshold(0.1, 0.05) == pytest.approx(0.2)
+        # sigma_d**2 = var - sigma**2 = 0.05**2
+        t = map_thresholds(haar_dwt(), detail_bands_of_variance(0.0125, 0.0125, 0.0125), 0.1)
+        np.testing.assert_allclose(t, 0.2, rtol=1e-12)
 
     def test_strong_signal_limit(self):
-        assert map_threshold(0.1, 1e9) == pytest.approx(0.0, abs=1e-10)
+        t = map_thresholds(haar_dwt(), detail_bands_of_variance(1e18, 1e18, 1e18), 0.1)
+        np.testing.assert_allclose(t, 0.0, atol=1e-10)
 
     def test_empty_band_is_suppressed(self):
-        assert map_threshold(0.1, 1e-9) == pytest.approx(1e7)
+        # an empty band has sigma_d at its floor sqrt(1e-12); the others keep theirs
+        t = map_thresholds(haar_dwt(), detail_bands_of_variance(0.0, 0.01, 0.0125), 0.1)
+        np.testing.assert_allclose(t, [1e4, 1e4, 0.2], rtol=1e-9)
 
-    def test_nonpositive_inputs_raise(self):
-        with pytest.raises(ConfigError):
-            map_threshold(0.0, 1.0)
-        with pytest.raises(ConfigError):
-            map_threshold(0.1, -1.0)
+    def test_zero_sigma_gives_zero_thresholds(self):
+        # the CLI's estimate for a blank image
+        for variances in ((0.0, 0.0, 0.0), (0.3, 0.0, 1e-20)):
+            t = map_thresholds(haar_dwt(), detail_bands_of_variance(*variances), 0.0)
+            assert t.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestScalarMaps:

@@ -17,6 +17,10 @@ from fdl.pnm import read_image, write_pgm
 from cli_env import cli_env, read_json_strict
 
 
+# a JSON document nested deeper than the parser's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 def run_cli(args, cwd, env=None):
     """Run ``python -m fdl.cli`` in ``cwd``; ``env`` adds variables for the child."""
     return subprocess.run(
@@ -417,6 +421,15 @@ class TestAnalyzeAndFlops:
             assert "cannot parse bad.json" in result.stderr
             assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command", [["analyze-pr"], ["flops", "--rows", "16", "--cols", "16"]])
+    def test_deeply_nested_spec_exit_2(self, tmp_path, command):
+        (tmp_path / "deep.json").write_text(DEEP_JSON)
+        result = run_cli(command + ["deep.json", "--out", "run"], cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("fdl: cannot parse deep.json")
+        assert len(result.stderr.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
 
 # epochs and validation images that draw no triangle image
 IDLE = {"epochs": 0, "n_validation": 0}
@@ -521,6 +534,14 @@ class TestTrainCommand:
         assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
         assert not (tmp_path / "run").exists()
 
+    def test_deeply_nested_config_exit_2(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(DEEP_JSON)
+        result = run_cli(["train", "cfg.json", "--out", "run"], cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("fdl: cannot parse cfg.json")
+        assert len(result.stderr.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
     def test_blank_validation_images_write_strict_json(self, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps(dict(TINY_TRAIN, triangles_per_image=[0, 0])))
         result = run_cli(["train", "cfg.json", "--out", "run"], cwd=tmp_path)
@@ -608,6 +629,29 @@ class TestDamagedCheckpoint:
         result = self.denoise(workdir)
         assert result.returncode == 3, result.stderr
         assert "cannot parse checkpoint manifest" in result.stderr
+
+    def test_deeply_nested_manifest_exit_3(self, workdir, checkpoint):
+        (checkpoint / "checkpoint.json").write_text(DEEP_JSON)
+        result = self.denoise(workdir)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith("fdl: cannot parse checkpoint manifest")
+        assert len(result.stderr.splitlines()) == 1
+        assert not (workdir / "den").exists()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("dec_bias_0.f64", np.nan), ("dec_bias_0.f64", np.inf), ("enc_kernel_1.f64", np.nan)],
+        ids=["nan-bias", "inf-bias", "nan-kernel"],
+    )
+    def test_non_finite_parameter_exit_3(self, workdir, checkpoint, name, value):
+        values = np.fromfile(checkpoint / name, dtype="<f8")
+        values[-1] = value
+        values.tofile(checkpoint / name)
+        result = self.denoise(workdir)
+        assert result.returncode == 3, result.stderr
+        file = os.path.join("ckpt", name)
+        assert result.stderr == f"fdl: checkpoint file {file} holds a non-finite value\n"
+        assert not (workdir / "den").exists()
 
     @pytest.mark.parametrize(
         "damage, named",

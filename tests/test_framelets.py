@@ -15,6 +15,7 @@ from fdl.framelets import (
     framelet_inverse,
     haar_dwt,
     make_basis,
+    map_thresholds,
     phase_complement,
 )
 from fdl.metrics import estimate_sigma_mad, snr_db
@@ -32,17 +33,16 @@ def checkerboard(n):
 
 class TestHaarBank:
     def test_decimated_round_trip_exact(self):
-        bank = haar_dwt()
-        basis = bank.basis()
+        basis = haar_dwt()
         assert basis.c_decimated == pytest.approx(1.0, abs=1e-12)
 
     def test_undecimated_constant(self):
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         assert basis.c == pytest.approx(0.25, abs=1e-12)
 
     def test_reconstruction_constants_bitwise(self):
         # every framelet denoise output is scaled by these: a 1-ulp shift moves them all
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         assert (basis.c.hex(), basis.c_decimated.hex()) == (
             "0x1.0000000000002p-2",
             "0x1.0000000000003p+0",
@@ -51,38 +51,52 @@ class TestHaarBank:
         assert (pct.c.hex(), pct.c_decimated) == ("0x1.0000000000000p-1", 2.0)
 
     def test_lowpass_kills_nyquist(self):
-        bank = haar_dwt()
-        cb = checkerboard(8)
-        response = tensor.conv2d(bank.w_low, cb)
+        low = haar_dwt().forward[:1]
+        response = tensor.conv2d(low, checkerboard(8))
         assert np.max(np.abs(response)) < 1e-12
 
     def test_diagonal_kills_dc(self):
-        bank = haar_dwt()
-        response = tensor.conv2d(bank.f_hh, np.ones((1, 1, 8, 8)))
+        diagonal = haar_dwt().forward[3:]
+        response = tensor.conv2d(diagonal, np.ones((1, 1, 8, 8)))
         assert np.max(np.abs(response)) < 1e-12
 
     def test_partitions(self):
-        bank = haar_dwt()
-        assert bank.w_low.shape == (1, 1, 3, 3)
-        assert bank.w_high.shape == (3, 1, 3, 3)
-        np.testing.assert_array_equal(np.concatenate([bank.w_low, bank.w_high]), bank.w)
+        # band order LL, LH, HL, HH: the low band first, then three details
+        basis = haar_dwt()
+        assert basis.forward.shape == basis.inverse.shape == (4, 1, 3, 3)
+        assert detail_band_mask(basis).tolist() == [False, True, True, True]
+        np.testing.assert_array_equal(basis.inverse, basis.forward[:, :, ::-1, ::-1])
+        # LH responds to change along the column index, HL along the row index
+        ramp = np.arange(8.0)
+        for band, y in ((1, np.tile(ramp, (8, 1))), (2, np.tile(ramp[:, None], (1, 8)))):
+            other = 3 - band
+            bands = framelet_forward(basis, y[None, None], decimated=True)
+            assert np.max(np.abs(bands[band])) > 0.1
+            assert np.max(np.abs(bands[other])) < 1e-12
+
+    def test_shared_and_read_only(self):
+        basis = haar_dwt()
+        assert haar_dwt() is basis
+        for filters in (basis.forward, basis.inverse):
+            with pytest.raises(ValueError):
+                filters[0, 0, 1, 1] = 0.0
 
 
 class TestForward:
     def test_constant_image(self):
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         bands = framelet_forward(basis, np.full((1, 1, 8, 8), 0.3), decimated=True)
         np.testing.assert_allclose(bands[0], 0.6, atol=1e-12)  # low band gain 2
         assert np.max(np.abs(bands[1:])) < 1e-12
 
     def test_checkerboard_has_empty_low_band(self):
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         bands = framelet_forward(basis, checkerboard(8), decimated=True)
         assert np.max(np.abs(bands[0])) < 1e-12
 
     def test_matches_conv_downsample_oracle(self):
         rng = np.random.default_rng(0)
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         y = rng.normal(size=(1, 1, 8, 8))
         for decimated in (False, True):
             got = framelet_forward(basis, y, decimated=decimated)
@@ -90,7 +104,7 @@ class TestForward:
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_odd_dims_rejected(self):
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         with pytest.raises(ShapeError):
             framelet_forward(basis, np.zeros((1, 1, 7, 8)), decimated=True)
 
@@ -98,20 +112,20 @@ class TestForward:
 class TestInverse:
     def test_round_trip_decimated(self):
         rng = np.random.default_rng(1)
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         y = rng.normal(size=(1, 1, 16, 16))
         back = framelet_inverse(basis, framelet_forward(basis, y, decimated=True), decimated=True)
         assert np.max(np.abs(back - y)) < 1e-10
 
     def test_round_trip_undecimated(self):
         rng = np.random.default_rng(2)
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         y = rng.normal(size=(1, 1, 16, 16))
         back = framelet_inverse(basis, framelet_forward(basis, y), decimated=False)
         assert np.max(np.abs(back - y)) < 1e-10
 
     def test_constant_survives_zeroed_details(self):
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         y = np.full((1, 1, 8, 8), 0.7)
         bands = framelet_forward(basis, y, decimated=True)
         bands[1:] = 0.0
@@ -119,7 +133,7 @@ class TestInverse:
         np.testing.assert_allclose(back, 0.7, atol=1e-12)
 
     def test_band_count_mismatch(self):
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         with pytest.raises(ShapeError):
             framelet_inverse(basis, np.zeros((3, 1, 4, 4)), decimated=True)
 
@@ -127,7 +141,7 @@ class TestInverse:
 class TestPhaseComplement:
     def test_haar_doubles_bands_and_reconstructs_through_relu(self):
         rng = np.random.default_rng(3)
-        pct = phase_complement(haar_dwt().basis())
+        pct = phase_complement(haar_dwt())
         assert pct.n_bands == 8
         y = rng.normal(size=(1, 1, 16, 16))  # signed input
         recon = tensor.conv2d(
@@ -147,7 +161,7 @@ class TestPhaseComplement:
 
     @pytest.mark.parametrize(
         "base",
-        [lambda: haar_dwt().basis(), lambda: make_basis(DELTA, DELTA)],
+        [lambda: haar_dwt(), lambda: make_basis(DELTA, DELTA)],
         ids=["haar", "identity"],
     )
     def test_rectified_round_trip_random_shapes(self, base):
@@ -161,14 +175,14 @@ class TestPhaseComplement:
             assert np.max(np.abs(recon - y)) < 1e-12, seed
 
     def test_identity_input_form(self):
-        pct = phase_complement(haar_dwt().basis())
+        pct = phase_complement(haar_dwt())
         report = check_phase_complementary(pct.forward, pct.inverse)
         n = report.response.shape[2]
         want = tensor.identity_image(1, n)
         assert np.max(np.abs(report.response - want)) < 1e-10
 
     def test_output_always_passes_check(self):
-        for base in (haar_dwt().basis(), make_basis(DELTA, DELTA)):
+        for base in (haar_dwt(), make_basis(DELTA, DELTA)):
             report = check_phase_complementary(
                 phase_complement(base).forward, phase_complement(base).inverse
             )
@@ -177,7 +191,7 @@ class TestPhaseComplement:
 
 class TestCheckPhaseComplementary:
     def test_constructed_pair_is_clean(self):
-        pct = phase_complement(haar_dwt().basis())
+        pct = phase_complement(haar_dwt())
         report = check_phase_complementary(pct.forward, pct.inverse)
         assert report.is_pct
         assert report.ratio < 1e-9
@@ -203,36 +217,31 @@ class TestCheckPhaseComplementary:
 class TestDenoise:
     def test_zero_threshold_is_round_trip(self):
         rng = np.random.default_rng(6)
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         y = rng.normal(size=(1, 1, 16, 16))
         out = denoise_framelet(basis, y, ActivationSpec("soft_shrink", t=0.0))
         assert np.max(np.abs(out - y)) < 1e-10
 
     def test_constant_image_untouched(self):
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         y = np.full((1, 1, 8, 8), 0.42)
         out = denoise_framelet(basis, y, ActivationSpec("soft_shrink", t=5.0))
         np.testing.assert_allclose(out, 0.42, atol=1e-12)
 
     def test_non_shrink_activation_rejected(self):
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         with pytest.raises(ConfigError):
             denoise_framelet(basis, np.zeros((1, 1, 8, 8)), ActivationSpec("soft_clip", t=1.0))
 
     def test_improves_snr_on_noisy_piecewise_image(self):
         # Monte-Carlo: soft shrinkage with a MAD-derived threshold must beat
         # the noisy input on every seed.
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         clean = piecewise_scene(64)
         for seed in range(10):
             noisy = add_noise(clean, NoiseModel(sigma_eta=0.1, seed=seed))
-            sigma_hat = estimate_sigma_mad(noisy)
             bands = framelet_forward(basis, noisy, decimated=True)
-            detail = detail_band_mask(basis)
-            sigma_d = np.sqrt(
-                np.maximum(bands[detail].var(axis=(1, 2, 3)) - sigma_hat**2, 1e-12)
-            )
-            t = sigma_hat**2 / sigma_d
+            t = map_thresholds(basis, bands, estimate_sigma_mad(noisy))
             out = denoise_framelet(basis, noisy, ActivationSpec("soft_shrink", t=t))
             assert snr_db(clean, out) > snr_db(clean, noisy)
 
@@ -240,9 +249,9 @@ class TestDenoise:
 class TestLowBranch:
     def low_branch(self, y):
         """Low-band pooling path: analyze, decimate, zero-insert, synthesize."""
-        bank = haar_dwt()
-        pooled = downsample_reference(tensor.conv2d(bank.w_low, y), 2)
-        return tensor.conv2d(tensor.tensor_transpose(bank.w_low_tilde), upsample_reference(pooled, 2))
+        haar = haar_dwt()
+        pooled = downsample_reference(tensor.conv2d(haar.forward[:1], y), 2)
+        return tensor.conv2d(tensor.tensor_transpose(haar.inverse[:1]), upsample_reference(pooled, 2))
 
     def test_constant_passes_with_unit_gain(self):
         y = np.full((1, 1, 8, 8), 0.37)
@@ -256,7 +265,7 @@ class TestEnergyAndSerialization:
     def test_energy_ratio_at_least_one(self):
         rng = np.random.default_rng(7)
         y = rng.normal(size=(1, 1, 16, 16))
-        haar = haar_dwt().basis()
+        haar = haar_dwt()
         for basis in (haar, phase_complement(haar), make_basis(DELTA, DELTA)):
             # energy of the undecimated bands over the energy of the input
             ratio = np.sum(framelet_forward(basis, y, decimated=False) ** 2) / np.sum(y**2)

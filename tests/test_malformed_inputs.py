@@ -1,6 +1,7 @@
 """Seeded malformed inputs: the spec, PGM, training-config and checkpoint
 parsers raise only package errors (``FdlError``), never a bare Python
-exception."""
+exception.  A checkpoint parameter file of the right size loads exactly its
+values, unless one is not finite."""
 
 import copy
 import importlib.resources as ir
@@ -8,7 +9,7 @@ import json
 
 import numpy as np
 
-from fdl.errors import FdlError
+from fdl.errors import ConfigError, FdlError
 from fdl.network import spec_from_json
 from fdl.pnm import read_image, write_pgm
 from fdl.training import TrainConfig, build_toy, load_checkpoint, save_checkpoint
@@ -43,15 +44,33 @@ def _replace(doc, path, value):
     return doc
 
 
+def _flip(data, rng):
+    """``data`` with 1-3 of its bytes flipped."""
+    buf = bytearray(data)
+    for pos in rng.integers(0, len(buf), size=int(rng.integers(1, 4))):
+        buf[pos] ^= int(rng.integers(1, 256))
+    return bytes(buf)
+
+
 def _byte_mutants(data, rng, n):
     """Truncations and 1-3 byte flips of ``data``."""
     for i in range(n):
+        yield _flip(data, rng) if i % 2 else data[: int(rng.integers(0, len(data)))]
+
+
+def _float64_mutants(data, rng, n):
+    """Mutants of little-endian float64 ``data`` at its own size: byte flips,
+    and values whose exponent bits are all set (an infinity or a NaN)."""
+    for i in range(n):
         if i % 2 == 0:
-            yield data[: int(rng.integers(0, len(data)))]
+            yield _flip(data, rng)
         else:
             buf = bytearray(data)
-            for pos in rng.integers(0, len(buf), size=int(rng.integers(1, 4))):
-                buf[pos] ^= int(rng.integers(1, 256))
+            top = 8 * int(rng.integers(0, len(buf) // 8)) + 7
+            buf[top] = 0x7F | (buf[top] & 0x80)
+            buf[top - 1] |= 0xF0
+            if rng.integers(2):  # mantissa all zero: an infinity
+                buf[top - 7 : top] = b"\x00" * 6 + bytes([buf[top - 1] & 0xF0])
             yield bytes(buf)
 
 
@@ -107,8 +126,30 @@ def test_seeded_mutations_raise_only_fdl_errors(tmp_path):
     mutants = list(_byte_mutants(original, rng, MUTANTS_PER_INPUT))
     for doc in _json_mutants(original.decode("utf-8"), rng, MUTANTS_PER_INPUT):
         mutants.append(json.dumps(doc).encode("utf-8"))
+    mutants.append(b"[" * 100_000 + b"]" * 100_000)  # deeper than the parser's recursion limit
     for data in mutants:
         manifest.write_bytes(data)
         _call(load_checkpoint, manifest.parent, failures)
+    manifest.write_bytes(original)
+
+    # mutants of one parameter file at its own size, beside the intact manifest
+    param = tmp_path / "ckpt" / "dec_kernel_1.f64"
+    original = param.read_bytes()
+    for data in _float64_mutants(original, rng, MUTANTS_PER_INPUT):
+        param.write_bytes(data)
+        values = np.frombuffer(data, dtype="<f8")
+        try:
+            loaded = load_checkpoint(param.parent).dec_kernels[1].value
+        except ConfigError as exc:
+            if np.all(np.isfinite(values)):
+                failures.append(f"finite mutant rejected: {exc}")
+            continue
+        except Exception as exc:  # any other type is a loader fault
+            failures.append(f"load_checkpoint: {type(exc).__name__}: {exc}")
+            continue
+        if not np.all(np.isfinite(values)):
+            failures.append(f"non-finite mutant loaded: {values[~np.isfinite(values)]}")
+        elif loaded.tobytes() != data:
+            failures.append("finite mutant loaded other values than its file's")
 
     assert not failures, "\n".join(failures[:10])

@@ -122,8 +122,8 @@ class TestBuilders:
 class TestRuntime:
     def test_lwfsn_with_tight_frame_is_identity(self):
         # undecimated-normalized Haar bank as encoder, its synthesis as decoder
-        bank = haar_dwt()
-        basis = make_basis(bank.w * 0.5, bank.w_tilde * 0.5)
+        haar = haar_dwt()
+        basis = make_basis(haar.forward * 0.5, haar.inverse * 0.5)
         assert basis.c == pytest.approx(1.0)
         spec = build_lwfsn(4)  # threshold 0 by default
         net = Network(spec, [(basis.forward, None), (tensor.tensor_transpose(basis.inverse), None)])
@@ -283,14 +283,14 @@ class TestEquivalentFilter:
         assert np.max(np.abs(k - want)) < 1e-12
 
     def test_pct_pair_collapses_to_scaled_identity(self):
-        pct = phase_complement(haar_dwt().basis())
+        pct = phase_complement(haar_dwt())
         spec = NetworkSpec(layers=(Conv(8, 1, 3, bias=False), RELU, Conv(1, 8, 3, bias=False)))
         net = Network(spec, [(pct.forward, None), (tensor.tensor_transpose(pct.inverse), None)])
         k = equivalent_filter(net, grid=8)
         np.testing.assert_allclose(k, tensor.identity_image(1, 8), atol=1e-9)
 
     def test_identity_activation_before_rectifier_collapses(self):
-        pct = phase_complement(haar_dwt().basis())
+        pct = phase_complement(haar_dwt())
         identity = Activation(ActivationSpec("soft_shrink", t=0.0))
         layers = (Conv(8, 1, 3, bias=False), identity, RELU, Conv(1, 8, 3, bias=False))
         weights = [(pct.forward, None), (tensor.tensor_transpose(pct.inverse), None)]
@@ -299,7 +299,7 @@ class TestEquivalentFilter:
 
     @pytest.mark.parametrize("tail", ["identity-before-decoder", "rectifier-after-pair"])
     def test_refuses_rectifier_without_adjacent_pair(self, tail):
-        pct = phase_complement(haar_dwt().basis())
+        pct = phase_complement(haar_dwt())
         enc, dec = (pct.forward, None), (tensor.tensor_transpose(pct.inverse), None)
         identity = Activation(ActivationSpec("soft_clip", t=np.inf))
         if tail == "identity-before-decoder":

@@ -414,11 +414,11 @@ class TestPointwiseProperties:
 
 
 def dwt_stacks():
-    bank = haar_dwt()
+    haar = haar_dwt()
     return {
-        "dwt_low": (bank.w_low, bank.w_low_tilde),
-        "dwt_high": (bank.w_high, bank.w_high_tilde),
-        "dwt_full": (bank.w, bank.w_tilde),
+        "dwt_low": (haar.forward[:1], haar.inverse[:1]),
+        "dwt_high": (haar.forward[1:], haar.inverse[1:]),
+        "dwt_full": (haar.forward, haar.inverse),
     }
 
 
@@ -474,7 +474,7 @@ class TestDwtBankProperties:
 
     def test_round_trips_are_identity(self):
         forward, inverse = dwt_stacks()["dwt_full"]
-        basis = haar_dwt().basis()
+        basis = haar_dwt()
         rng = np.random.default_rng(3)
         for channels, cols, h, w in random_bank_cases(rng, n=12):
             x = rng.normal(size=(channels, cols, h, w))
