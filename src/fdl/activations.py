@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, capped_repr
 from .tensor import signed_impulse_bank
 
 __all__ = [
@@ -54,7 +54,9 @@ def _as_threshold(t):
     if arr.ndim != 1:
         raise ConfigError(f"per-channel threshold must be a vector, got shape {arr.shape}")
     if not np.all(arr >= 0):
-        raise ConfigError(f"threshold entries must be numbers >= 0, got {arr.tolist()}")
+        raise ConfigError(
+            f"threshold entries must be numbers >= 0, got {capped_repr(arr.tolist())}"
+        )
     return tuple(float(v) for v in arr)
 
 

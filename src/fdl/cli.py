@@ -6,10 +6,12 @@ default under ``./runs``) containing a ``manifest.json`` with the command
 line, the resolved configuration, the seed, and the files written.
 Re-running a command with the same arguments and ``--threads 1``
 reproduces every output byte for byte (the manifest differs only in its
-wall-clock field).
+wall-clock field).  A command handler returns what the run shows and
+writes; :func:`main` alone writes the run directory, then prints the shown
+value as JSON on stdout.
 
-Exit codes: 0 success, 2 unreadable input, 3 bad parameters or config,
-4 numeric failure.
+Exit codes: 0 success, 2 unreadable input or unwritable run directory,
+3 bad parameters or config, 4 numeric failure.
 
 BLAS thread pinning must happen before numpy is first imported, which is
 why this module defers all package imports into the command handlers.
@@ -183,6 +185,8 @@ def _finish_run(run_dir, argv, started, config, files, seed=None):
     (see :func:`_write_file`), then ``manifest.json`` listing the files
     written.  Files an earlier run left in ``run_dir`` stay, unlisted.
     This is the one place that writes run files."""
+    from fdl import __version__
+
     os.makedirs(run_dir, exist_ok=True)
     outputs = []
     for name, payload in files.items():
@@ -191,27 +195,27 @@ def _finish_run(run_dir, argv, started, config, files, seed=None):
         "command": ["fdl"] + list(argv),
         "config": config,
         "seed": seed,
-        "version": _version(),
+        "version": __version__,
         "outputs": sorted(outputs),
         "wall_clock_s": round(time.time() - started, 3),
     }
     _write_file(run_dir, "manifest.json", manifest)
 
 
-def _version():
-    from fdl import __version__
+def _json_file(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
-    return __version__
 
-
-def _read_json(path):
-    """Parsed JSON file; an unreadable or unparseable file is an input error."""
+def _read(path, parse):
+    """``parse(path)``; an unreadable file (``OSError``) or an unparseable one
+    (a ``ValueError``, such as malformed JSON or a malformed image, or the
+    ``RecursionError`` of JSON nested too deep) is an input error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return parse(path)
     except OSError as exc:
         raise _IoError(f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # malformed JSON, not UTF-8, or nested too deep
+    except (ValueError, RecursionError) as exc:
         raise _IoError(f"cannot parse {path}: {exc}") from exc
 
 
@@ -221,23 +225,11 @@ def _resolve_spec(ref):
     from fdl.network import spec_from_json
 
     if os.path.exists(ref):
-        return spec_from_json(_read_json(ref))
+        return spec_from_json(_read(ref, _json_file))
     candidate = resources.files("fdl") / "specs" / f"{ref}.json"
     if candidate.is_file():
         return spec_from_json(json.loads(candidate.read_text(encoding="utf-8")))
     raise _IoError(f"no such spec file or bundled spec: {ref}")
-
-
-def _read_input_image(path):
-    from fdl.errors import FdlError
-    from fdl.pnm import read_image
-
-    try:
-        return read_image(path)
-    except OSError as exc:
-        raise _IoError(f"cannot read {path}: {exc}") from exc
-    except FdlError as exc:
-        raise _IoError(f"cannot parse {path}: {exc}") from exc
 
 
 def _naming(path, fn, *args):
@@ -261,7 +253,7 @@ _DENOISE_READS = {
 }
 
 
-def _cmd_denoise(args, argv):
+def _cmd_denoise(args):
     import numpy as np
 
     from fdl.activations import ActivationSpec
@@ -269,15 +261,15 @@ def _cmd_denoise(args, argv):
     from fdl.framelets import denoise_framelet, framelet_forward, haar_dwt, map_thresholds
     from fdl.lowrank import lowrank_approx, lowrank_denoise_demo, svd
     from fdl.metrics import estimate_sigma_mad, snr_db
+    from fdl.pnm import read_image
     from fdl.tensor import as_image
 
-    started = time.time()
     demo = args.method == "svd-lowrank" and "," in (args.rank or "")
     method = "svd-lowrank with a --rank list" if demo else args.method
     for dest in sum(_DENOISE_READS.values(), ()):
         if dest not in _DENOISE_READS[method] and getattr(args, dest) != args.default_of(dest):
             raise CommandLineError(f"--{dest.replace('_', '-')} is not read by --method {method}")
-    y = as_image(_read_input_image(args.input), "input image")
+    y = as_image(_read(args.input, read_image), "input image")
     params = {"method": args.method}
     out = None  # stays None for the per-rank demo, which writes its own images
 
@@ -340,64 +332,47 @@ def _cmd_denoise(args, argv):
     if out is not None:
         images = {"denoised.pgm": out}
         if args.reference:
-            reference = as_image(_read_input_image(args.reference), "reference image")
+            reference = as_image(_read(args.reference, read_image), "reference image")
             metrics["snr_input_db"] = _naming(args.reference, snr_db, reference, y)
             metrics["snr_output_db"] = snr_db(reference, out)
             metrics["snr_gain_db"] = metrics["snr_output_db"] - metrics["snr_input_db"]
 
     run_dir = args.out or os.path.join("runs", "denoise")
-    _finish_run(run_dir, argv, started, params, {"metrics.json": metrics, **images})
-    print(json.dumps(metrics, indent=2, sort_keys=True))
-    return EXIT_OK
+    return metrics, run_dir, params, {"metrics.json": metrics, **images}, None
 
 
-def _cmd_analyze_pr(args, argv):
+def _cmd_analyze_pr(args):
     from fdl.analysis import pr_analyze
 
-    started = time.time()
-    spec = _resolve_spec(args.spec)
-    report = pr_analyze(spec)
-    payload = report.to_json()
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        _finish_run(args.out, argv, started, {"spec": args.spec}, {"pr_report.json": payload})
-    return EXIT_OK
+    payload = pr_analyze(_resolve_spec(args.spec)).to_json()
+    return payload, args.out, {"spec": args.spec}, {"pr_report.json": payload}, None
 
 
-def _cmd_flops(args, argv):
+def _cmd_flops(args):
     from fdl.analysis import count_flops
 
-    started = time.time()
-    spec = _resolve_spec(args.spec)
-    total = count_flops(spec, args.rows, args.cols)
-    print(total)
-    if args.out:
-        payload = {"spec": args.spec, "rows": args.rows, "cols": args.cols, "flops": total}
-        _finish_run(args.out, argv, started, payload, {"flops.json": payload})
-    return EXIT_OK
+    total = count_flops(_resolve_spec(args.spec), args.rows, args.cols)
+    payload = {"spec": args.spec, "rows": args.rows, "cols": args.cols, "flops": total}
+    return total, args.out, payload, {"flops.json": payload}, None
 
 
-def _cmd_train(args, argv):
+def _cmd_train(args):
     from fdl.training import TrainConfig, train
 
-    started = time.time()
     env_seed = _env_seed()
-    cfg = TrainConfig.from_json(_read_json(args.config))
+    cfg = TrainConfig.from_json(_read(args.config, _json_file))
     if env_seed is not None:
         cfg = dataclasses.replace(cfg, seed=env_seed)
     model, history = train(cfg)
     run_dir = args.out or os.path.join("runs", f"train-seed{cfg.seed}")
     files = {"checkpoint": model, "history.json": history.to_json()}
-    _finish_run(run_dir, argv, started, cfg.to_json(), files, cfg.seed)
     last = history.epochs[-1] if history.epochs else {}
-    print(json.dumps({"run_dir": run_dir, "final": last}, indent=2, sort_keys=True))
-    return EXIT_OK
+    return {"run_dir": run_dir, "final": last}, run_dir, cfg.to_json(), files, cfg.seed
 
 
-def _cmd_experiment(args, argv):
+def _cmd_experiment(args):
     from fdl.experiments import ExperimentConfig, run_named_experiment
 
-    started = time.time()
     env_seed = _env_seed()
     side = args.image_size
     given = {
@@ -411,9 +386,7 @@ def _cmd_experiment(args, argv):
     run_dir = args.out or os.path.join("runs", f"{args.name}-seed{cfg.seed}")
     report = run_named_experiment(args.name, cfg)
     config = {"experiment": args.name, **dataclasses.asdict(cfg)}
-    _finish_run(run_dir, argv, started, config, report.files(), seed=cfg.seed)
-    print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    return EXIT_OK
+    return report.to_json(), run_dir, config, report.files(), cfg.seed
 
 
 _HANDLERS = {
@@ -428,9 +401,17 @@ _HANDLERS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     _pin_threads(argv)
+    started = time.time()
     try:
         args = _build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args, argv)
+        shown, run_dir, config, files, seed = _HANDLERS[args.command](args)
+        if run_dir is not None:
+            try:
+                _finish_run(run_dir, argv, started, config, files, seed)
+            except OSError as exc:
+                raise _IoError(f"cannot write run directory {run_dir}: {exc}") from exc
+        print(json.dumps(shown, indent=2, sort_keys=True))
+        return EXIT_OK
     except CommandLineError as exc:
         print(f"fdl: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,5 +1,5 @@
-"""Exception types, and the kind rule for values read from JSON, shared
-across the package."""
+"""Exception types, the kind rule for values read from JSON, and the cap
+on a bad value an error message quotes, shared across the package."""
 
 from numbers import Integral, Real
 
@@ -18,6 +18,17 @@ class ConfigError(FdlError, ValueError):
 
 class NumericError(FdlError, ArithmeticError):
     """A computation produced non-finite values."""
+
+
+_REPR_LIMIT = 60
+
+
+def capped_repr(value) -> str:
+    """``repr(value)``, cut to ``_REPR_LIMIT`` characters ending in ``...``
+    when longer: a message quoting a bad value from a file stays one short
+    line, however large the value."""
+    text = repr(value)
+    return text if len(text) <= _REPR_LIMIT else text[: _REPR_LIMIT - 3] + "..."
 
 
 # Builtin types of each numeric kind, tested before the much slower ABC test.

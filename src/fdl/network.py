@@ -34,7 +34,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .activations import DOG_KINDS, ActivationSpec, apply_activation
-from .errors import ConfigError, ShapeError, is_kind
+from .errors import ConfigError, ShapeError, capped_repr, is_kind
 from .framelets import haar_dwt
 from .tensor import as_tensor4, bank_down, bank_up, conv2d
 
@@ -135,7 +135,9 @@ def _main_input(index, layer):
 
 def _check_ref(idx, ref, what):
     if ref is not None and not (is_kind(ref, Integral) and -1 <= ref < idx):
-        raise ConfigError(f"layer {idx}: {what} {ref!r} must point at an earlier layer or -1")
+        raise ConfigError(
+            f"layer {idx}: {what} {capped_repr(ref)} must point at an earlier layer or -1"
+        )
 
 
 def validate_spec(spec: NetworkSpec) -> list:
@@ -348,7 +350,7 @@ def _field(entry: dict, key, kind, default=MISSING):
     any other (a nested activation, a layer reference) is checked elsewhere."""
     value = entry[key] if default is MISSING else entry.get(key, default)
     if kind in _KIND_NAMES and not is_kind(value, kind):
-        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+        raise ConfigError(f"{key} must be {_KIND_NAMES[kind]}, got {capped_repr(value)}")
     return value
 
 
@@ -358,12 +360,12 @@ def _act_from_json(payload: dict) -> ActivationSpec:
         members = []
         for w, m in payload.get("members", []):
             if not is_kind(w, Real):
-                raise ConfigError(f"let weight must be a number, got {w!r}")
+                raise ConfigError(f"let weight must be a number, got {capped_repr(w)}")
             members.append((float(w), _act_from_json(m)))
         return ActivationSpec("let", members=tuple(members))
     t = payload.get("t", ActivationSpec.t)
     if not (is_kind(t, Real) or isinstance(t, list) and all(is_kind(v, Real) for v in t)):
-        raise ConfigError(f"t must be a number or a list of numbers, got {t!r}")
+        raise ConfigError(f"t must be a number or a list of numbers, got {capped_repr(t)}")
     return ActivationSpec(kind, t=t, p=_field(payload, "p", Integral, ActivationSpec.p))
 
 
@@ -416,10 +418,10 @@ def spec_from_json(payload: dict) -> NetworkSpec:
         name = entry["type"]
         try:
             if not isinstance(name, str) or name not in _LAYER_TYPES:
-                raise ConfigError(f"unknown layer type {name!r}")
+                raise ConfigError(f"unknown layer type {capped_repr(name)}")
             cls, schema = _LAYER_TYPES[name]
             if cls is Resample and _field(entry, "s", Integral, 2) != 2:
-                raise ConfigError(f"resampling factor must be 2, got {entry['s']}")
+                raise ConfigError(f"resampling factor must be 2, got {capped_repr(entry['s'])}")
             values = {"source": entry.get("source")}
             for key, attr, kind, default in schema:
                 value = _field(entry, key, kind, default)

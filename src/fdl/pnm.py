@@ -8,6 +8,8 @@ as the format requires).  Values map linearly between [0, 1] and
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import ConfigError, ShapeError
@@ -34,23 +36,17 @@ def write_pgm(path, image) -> None:
         fh.write(header + quantized.tobytes())
 
 
+# A header token: a run of non-whitespace, or a # comment to the end of its
+# line, which starts only where a token would.
+_TOKEN = re.compile(rb"#[^\n]*|\S+")
+
+
 def _tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping # comments."""
-    i = 0
-    while i < len(data):
-        ch = data[i : i + 1]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        j = i
-        while j < len(data) and not data[j : j + 1].isspace():
-            j += 1
-        yield data[i:j], j
-        i = j
+    """Yield whitespace-separated header tokens and their end offsets,
+    skipping # comments."""
+    for match in _TOKEN.finditer(data):
+        if not match[0].startswith(b"#"):
+            yield match[0], match.end()
 
 
 def _read_pgm(data: bytes) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .datasets import NoiseModel, add_noise, gen_triangles
-from .errors import ConfigError, NumericError, is_kind
+from .errors import ConfigError, NumericError, capped_repr, is_kind
 from .metrics import snr_db
 from .network import NUMPY_OPS, TOY_WIDTHS, build_toy_spec, evaluate
 from .optim import Adam, xavier_uniform_init
@@ -57,11 +57,11 @@ _PAIR_FIELDS = ("image_size", "triangles_per_image", "intensity_range")
 
 def _check_model_args(seed, init_mode, bias_mode):
     if init_mode not in INIT_MODES:
-        raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {init_mode!r}")
+        raise ConfigError(f"init_mode must be one of {INIT_MODES}, got {capped_repr(init_mode)}")
     if bias_mode not in BIAS_MODES:
-        raise ConfigError(f"bias_mode must be one of {BIAS_MODES}, got {bias_mode!r}")
+        raise ConfigError(f"bias_mode must be one of {BIAS_MODES}, got {capped_repr(bias_mode)}")
     if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+        raise ConfigError(f"seed must be non-negative, got {capped_repr(seed)}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class TrainConfig:
                 count = "two" if pair else "one"
                 raise ConfigError(
                     f"training config has a malformed field: {name} needs {count} finite "
-                    f"{kind.__name__.lower()} value{'s' if pair else ''}, got {value!r}"
+                    f"{kind.__name__.lower()} value{'s' if pair else ''}, got {capped_repr(value)}"
                 )
             if pair:
                 object.__setattr__(self, name, values)

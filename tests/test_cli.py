@@ -66,6 +66,32 @@ class TestPnm:
         with pytest.raises(ConfigError):
             read_image(tmp_path / "bad.pgm")
 
+    @pytest.mark.parametrize(
+        "data, tokens",
+        [
+            (b"P2\n3 2\n255\n0 1 2\n3 4 5\n",
+             [(b"P2", 2), (b"3", 4), (b"2", 6), (b"255", 10), (b"0", 12), (b"1", 14),
+              (b"2", 16), (b"3", 18), (b"4", 20), (b"5", 22)]),
+            # a # inside a token is part of it; a comment starts only where a token would
+            (b"P2#c\n2 1#x\n255\n1 2",
+             [(b"P2#c", 4), (b"2", 6), (b"1#x", 10), (b"255", 14), (b"1", 16), (b"2", 18)]),
+            (b"P2\t2\x0b1\x0c255\r\n1\t2",
+             [(b"P2", 2), (b"2", 4), (b"1", 6), (b"255", 10), (b"1", 13), (b"2", 15)]),
+            (b"P2 2 1 255 12#3 4",
+             [(b"P2", 2), (b"2", 4), (b"1", 6), (b"255", 10), (b"12#3", 15), (b"4", 17)]),
+            (b"# made by hand\nP2\n2 1\n255\n7 8\n",
+             [(b"P2", 17), (b"2", 19), (b"1", 21), (b"255", 25), (b"7", 27), (b"8", 29)]),
+            (b"P5\n2 1\n255\n\x01\x02",
+             [(b"P5", 2), (b"2", 4), (b"1", 6), (b"255", 10), (b"\x01\x02", 13)]),
+        ],
+        ids=["plain-p2", "glued-comments", "tab-vt-ff-cr", "hash-in-sample",
+             "leading-comment", "p5-header"],
+    )
+    def test_header_tokens_and_end_offsets(self, data, tokens):
+        from fdl.pnm import _tokens
+
+        assert list(_tokens(data)) == tokens
+
 
 class TestThreadPinning:
     @pytest.fixture
@@ -409,6 +435,18 @@ class TestAnalyzeAndFlops:
         assert result.returncode == 3
         assert "skip_concat" in result.stderr
 
+    @pytest.mark.parametrize(
+        "out", ["afile", os.path.join("afile", "sub")], ids=["file", "under-file"]
+    )
+    def test_unwritable_run_dir_exit_2(self, tmp_path, out):
+        (tmp_path / "afile").write_text("not a directory")
+        result = run_cli(["flops", "toy", "--rows", "8", "--cols", "8", "--out", out], cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith(f"fdl: cannot write run directory {out}: ")
+        assert len(result.stderr.splitlines()) == 1 and "Traceback" not in result.stderr
+        assert result.stdout == ""  # stdout follows the run directory
+        assert (tmp_path / "afile").read_text() == "not a directory"
+
     def test_unknown_spec_exit_2(self, tmp_path):
         result = run_cli(["analyze-pr", "absent"], cwd=tmp_path)
         assert result.returncode == 2
@@ -588,6 +626,56 @@ class TestTrainCommand:
         assert result.returncode == 0, result.stderr
         metrics = read_json_strict(tmp_path / "den" / "metrics.json")
         assert metrics["snr_gain_db"] > 0
+
+
+def _nested(depth):
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _spec_with_activation(activation):
+    return {"layers": [{"type": "conv", "out_ch": 2, "in_ch": 1},
+                       {"type": "activation", "activation": activation},
+                       {"type": "conv", "out_ch": 1, "in_ch": 2}]}
+
+
+class TestLongBadValues:
+    """A message quoting a bad value from a file stays one short line."""
+
+    @pytest.mark.parametrize(
+        "command, payload, named",
+        [
+            (["train"], dict(TINY_TRAIN, epochs=_nested(500)), "malformed field: epochs"),
+            (["analyze-pr"], {"layers": [{"type": "conv", "out_ch": list(range(500)), "in_ch": 1}]},
+             "layer 0: out_ch must be an integer"),
+            (["analyze-pr"], _spec_with_activation({"kind": "soft_shrink", "t": ["x"] * 2000}),
+             "layer 1: t must be a number or a list of numbers"),
+            (["analyze-pr"], _spec_with_activation({"kind": "soft_shrink", "t": [-1.0] * 2000}),
+             "layer 1: threshold entries must be numbers >= 0"),
+            (["analyze-pr"], _spec_with_activation(
+                {"kind": "let", "members": [[["w"] * 2000, {"kind": "soft_shrink"}]]}),
+             "layer 1: let weight must be a number"),
+            (["train"], dict(TINY_TRAIN, init_mode="x" * 2000), "init_mode must be one of"),
+            (["train"], dict(TINY_TRAIN, seed=-(10**1000)), "seed must be non-negative"),
+            (["analyze-pr"], {"layers": [{"type": "x" * 2000}]}, "layer 0: unknown layer type"),
+            (["analyze-pr"], {"layers": [{"type": "skip_add", "from": list(range(500))}]},
+             "layer 0: skip reference"),
+            (["analyze-pr"], {"layers": [{"type": "resample", "direction": "down",
+                                          "kind": "plain", "s": 10**1000}]},
+             "layer 0: resampling factor must be 2"),
+        ],
+        ids=["train-epochs", "spec-out_ch", "spec-t-strings", "spec-t-negative", "spec-let-weight",
+             "train-init_mode", "train-seed", "spec-type", "spec-skip-reference", "spec-s"],
+    )
+    def test_exit_3_with_a_capped_value(self, tmp_path, command, payload, named):
+        (tmp_path / "in.json").write_text(json.dumps(payload))
+        result = run_cli(command + ["in.json"], cwd=tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert named in result.stderr
+        assert len(result.stderr.splitlines()) == 1 and len(result.stderr) < 200
+        assert "..." in result.stderr
 
 
 class TestDamagedCheckpoint:
@@ -792,32 +880,48 @@ class TestExperimentCommand:
         assert rows[0].count("sigma_") == 5
         assert read_json_strict(tmp_path / "run" / "report.json")["experiment"] == "generalization"
 
-    def test_repeat_run_byte_identical(self, tmp_path):
-        args = [
-            "experiment",
-            "tight-frame",
-            "--seed",
-            "7",
-            "--epochs",
-            "1",
-            "--images-per-epoch",
-            "2",
-            "--image-size",
-            "16",
-            "--test-image-size",
-            "32",
-        ]
-        r1 = run_cli(args + ["--out", "run_a"], cwd=tmp_path)
-        r2 = run_cli(args + ["--out", "run_b"], cwd=tmp_path)
-        assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
-        a = tree_bytes(tmp_path / "run_a")
-        b = tree_bytes(tmp_path / "run_b")
-        assert a.keys() == b.keys()
-        for name in a:
-            assert a[name] == b[name], f"{name} differs between reruns"
-        assert read_json_strict(tmp_path / "run_a" / "report.json")["experiment"] == "tight-frame"
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["denoise", "../noisy.pgm", "--reference", "../clean.pgm"],
+            ["denoise", "../noisy.pgm", "--threshold", "0.05", "--undecimated"],
+            ["denoise", "../noisy.pgm", "--method", "svd-lowrank", "--rank", "8"],
+            ["denoise", "../noisy.pgm", "--method", "model", "--checkpoint", "../ckpt"],
+            ["denoise", "../clean.pgm", "--method", "svd-lowrank", "--rank", "4,16"],
+            ["analyze-pr", "toy"],
+            ["flops", "toy", "--rows", "8", "--cols", "8"],
+            ["train", "../cfg.json"],
+            ["experiment", "tight-frame", "--seed", "7", "--epochs", "1",
+             "--images-per-epoch", "2", "--image-size", "16", "--test-image-size", "32"],
+        ],
+        ids=["denoise-wavelet-auto", "denoise-wavelet-fixed", "denoise-svd", "denoise-model",
+             "denoise-rank-demo", "analyze-pr", "flops", "train", "experiment-tight-frame"],
+    )
+    def test_repeat_run_byte_identical(self, workdir, args):
+        from fdl.training import build_toy, save_checkpoint
+
+        save_checkpoint(build_toy(seed=0), workdir / "ckpt")
+        (workdir / "cfg.json").write_text(json.dumps(TINY_TRAIN))
+        runs = []
+        for side in ("a", "b"):  # the same command line from two working directories
+            (workdir / side).mkdir()
+            result = run_cli(args + ["--out", "run"], cwd=workdir / side)
+            assert result.returncode == 0, result.stderr
+            files = tree_bytes(workdir / side / "run", skip=())
+            manifest = json.loads(files.pop("manifest.json"))
+            del manifest["wall_clock_s"]
+            assert manifest["outputs"] == sorted(files)
+            runs.append((result.stdout, manifest, files))
+        (stdout_a, manifest_a, files_a), (stdout_b, manifest_b, files_b) = runs
+        assert files_a.keys() == files_b.keys()
+        for name in files_a:
+            assert files_a[name] == files_b[name], f"{name} differs between reruns"
+        assert manifest_a == manifest_b
         # stdout reports are identical too
-        assert r1.stdout == r2.stdout
+        assert stdout_a == stdout_b
+        if args[0] == "experiment":
+            report = read_json_strict(workdir / "a" / "run" / "report.json")
+            assert report["experiment"] == "tight-frame"
 
     def test_manifest_written(self, tmp_path):
         result = run_cli(
