@@ -160,7 +160,7 @@ def garrote_shrink(z, t):
     singularity at ``z = 0`` filled with 0."""
     z = np.asarray(z, dtype=float)
     tb = _broadcast(t, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         shrunk = z - tb * tb / z
     return np.where(np.abs(z) > tb, shrunk, 0.0)
 
@@ -226,7 +226,7 @@ def activation_derivative(spec: ActivationSpec, z):
     if spec.kind == "soft_clip":
         return np.where(np.abs(z) > tb, 0.0, 1.0)
     if spec.kind == "garrote":
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inner = 1.0 + tb * tb / (z * z)
         return np.where(np.abs(z) > tb, inner, 0.0)
     if spec.kind in DOG_KINDS:

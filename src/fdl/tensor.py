@@ -41,20 +41,25 @@ nonzero kernel gradient.
 :func:`conv2d` bounds its working set.  When the whole image's shift
 stack (expanding conv) or tap products (contracting conv) would exceed
 :data:`STRIP_BYTES`, it computes the output in strips of rows, each from a
-slab of input rows that adds the kernel's vertical reach on both sides,
-so a conv holds one strip's stack at a time instead of the image's (56 MB
-for a 12 -> 24 channel 3x3 conv at 256x256).  Every tap of every output
-sample reads the same inputs in the same order as on the whole image,
-and a contracting conv folds the wrapped halo rows last, as the
-whole-image fold does, so the two routes give the same products and the
-same sums.  The result is bitwise equal wherever the BLAS computes each
-column of a matrix product independently of the product's width.
-OpenBLAS 0.3.31 (Haswell kernels) does so when the image width is a
-multiple of 8 and an expanding conv's ``in * kv * kh`` is at most 384;
-otherwise it rounds the last ``N % 8`` columns of an ``N``-column
-product, or a small product with a deeper inner dimension, its own way,
-and a few outputs may differ in the last bits.  The autodiff conv and
-:func:`conv2d_adjoint` keep the whole-image route: the kernel gradient
+circular slab of input rows that adds the kernel's vertical reach on both
+sides, so a conv holds one strip's stack at a time instead of the image's
+(56 MB for a 12 -> 24 channel 3x3 conv at 256x256).
+
+Every output sample sums its taps in tap order, at the image's wrap as
+anywhere else: a fold forms its tap products on the signal wrap-padded by
+the kernel's reach, so no tap is added apart from the others.  An output
+sample is then formed from one column of a matrix product (stacked conv)
+or from one column per tap (fold), so the convs are bitwise
+shift-equivariant, and a strip gives the whole image's bytes, wherever the
+BLAS computes each column of a product independently of the product's
+width.  OpenBLAS 0.3.31 (Haswell kernels) does so for the columns of whole
+8-column tiles, when the inner dimension is at most 384 (an expanding
+conv's ``in * kv * kh``); it rounds the last ``N % 8`` columns of an
+``N``-column product, or a small product with a deeper inner dimension,
+its own way.  So a fold pads its product with zero columns to whole tiles,
+and a stacked conv's ``N`` is a multiple of 8 when the image width is;
+otherwise a few outputs may differ in the last bits.  The autodiff conv
+and :func:`conv2d_adjoint` keep the whole-image route: the kernel gradient
 needs the whole stack.
 
 All functions are pure and operate on immutable inputs, so they are safe to
@@ -150,22 +155,6 @@ def _offsets(kv, kh):
     return [(u - cv, v - ch) for u in range(kv) for v in range(kh)]
 
 
-def _fold_halo(acc, pad, n):
-    """Adjoint of wrap padding along axis 2: add each halo row into the row
-    one period inward, outermost first (a halo wider than the image is
-    folded chunk by chunk); returns the ``n`` central rows."""
-    hi, lo = acc.shape[2], 0
-    while hi > pad + n:
-        step = min(hi - pad - n, n)
-        acc[:, :, hi - step - n : hi - n] += acc[:, :, hi - step : hi]
-        hi -= step
-    while lo < pad:
-        step = min(pad - lo, n)
-        acc[:, :, lo + n : lo + step + n] += acc[:, :, lo : lo + step]
-        lo += step
-    return acc[:, :, pad : pad + n]
-
-
 def _shift_stack(signal, kv, kh, correlate=False):
     """Stack of circularly shifted copies of ``signal``, one per kernel tap.
 
@@ -189,29 +178,39 @@ def _fold_products(kmat, signal, kv, kh, correlate=False):
     is shifted back and summed into ``(rows, cols, H, W)``.
 
     ``kmat`` holds one block of ``rows`` rows per tap, taps in stack order.
-    The product is taken on a copy of ``signal`` with a zero border as wide
-    as the kernel's reach, so every plane is already laid out on the
-    halo-padded grid and a tap's shift never carries image values out of
-    their own bordered image: each plane lands by one contiguous flat
-    shift.  The halo is then folded onto the image.
+    The product is taken on a copy of ``signal`` wrap-padded by the
+    kernel's reach, so every plane already holds, around each image
+    sample, the products of the circular neighbours that its taps read:
+    each plane lands by one contiguous flat shift, and every output sample
+    sums its taps in tap order, at the wrap as anywhere else.  The flat
+    width of the product is rounded up to a multiple of 8 with zero
+    columns (see the module docstring).
     """
     sr, sc, h, w = signal.shape
     cv, ch = kv // 2, kh // 2
     pv, ph = h + 2 * cv, w + 2 * ch
     n = sc * pv * ph
-    bordered = np.zeros((sr, sc, pv, ph))
-    bordered[:, :, cv : cv + h, ch : ch + w] = signal
-    products = kmat @ bordered.reshape(sr, n)
+    padded = np.empty((sr, -(-n // 8) * 8))
+    padded[:, n:] = 0.0
+    grid = padded[:, :n].reshape(sr, sc, pv, ph)
+    if cv > h or ch > w:  # the reach wraps around the image more than once
+        grid[...] = np.pad(signal, ((0, 0), (0, 0), (cv, cv), (ch, ch)), mode="wrap")
+    else:
+        grid[:, :, cv : cv + h, ch : ch + w] = signal
+        grid[:, :, cv : cv + h, :ch] = signal[..., w - ch :]
+        grid[:, :, cv : cv + h, ch + w :] = signal[..., :ch]
+        grid[:, :, :cv] = grid[:, :, h : h + cv]
+        grid[:, :, cv + h :] = grid[:, :, cv : 2 * cv]
+    products = kmat @ padded
     rows = products.shape[0] // (kv * kh)
-    margin = cv * ph + ch  # the largest flat shift
-    acc = np.zeros((rows, n + 2 * margin))
+    first = cv * ph + ch  # flat position of image sample (0, 0)
+    size = n - 2 * first  # up to the last image sample of the last signal column
+    acc = np.zeros((rows, n))
     sign = -1 if correlate else 1  # as in _shift_stack, whose adjoint this is
     for i, (du, dv) in enumerate(_offsets(kv, kh)):
-        start = margin - sign * (du * ph + dv)
-        acc[:, start : start + n] += products[i * rows : (i + 1) * rows]
-    acc = acc[:, margin : margin + n].reshape(rows, sc, pv, ph)
-    acc = _fold_halo(acc.swapaxes(2, 3), ch, w).swapaxes(2, 3)
-    return np.ascontiguousarray(_fold_halo(acc, cv, h))
+        start = first + sign * (du * ph + dv)
+        acc[:, :size] += products[i * rows : (i + 1) * rows, start : start + size]
+    return np.ascontiguousarray(acc.reshape(rows, sc, pv, ph)[:, :, :h, :w])
 
 
 def _contracting(kernel_shape):
@@ -303,65 +302,44 @@ def _strip_rows(kernel_shape, signal_shape):
     """Rows per strip of :func:`conv2d`, or ``None`` when the whole image's
     stack or tap products fit in :data:`STRIP_BYTES`.
 
-    A strip of ``R`` rows stacks ``R + 2 * cv`` input rows (expanding), or
-    forms products over ``R + 4 * cv`` bordered rows (contracting), where
-    ``cv = kv // 2``.  All strips but the last have the same height, so
-    that successive strips allocate arrays of one size.
+    A strip of ``R`` rows reads a slab of ``R + 2 * cv`` input rows, where
+    ``cv = kv // 2``.  An expanding conv stacks the slab; a contracting one
+    forms tap products over the slab wrap-padded by ``cv`` more rows on
+    each side.  All strips but the last have the same height, so that
+    successive strips allocate arrays of one size.
     """
     ko, kc, kv, kh = kernel_shape
     sc, h, w = signal_shape[1:]
     cv = kv // 2
     if _contracting(kernel_shape):
-        row_bytes, extra = ko * kv * kh * sc * (w + 2 * (kh // 2)) * 8, 2 * cv
+        row_bytes, pad = ko * kv * kh * sc * (w + 2 * (kh // 2)) * 8, 2 * cv
     else:
-        row_bytes, extra = kc * kv * kh * sc * w * 8, 0
-    grid = h + extra  # the rows _conv_strips computes
-    if row_bytes * grid <= STRIP_BYTES:
+        row_bytes, pad = kc * kv * kh * sc * w * 8, 0
+    if row_bytes * (h + pad) <= STRIP_BYTES:
         return None
-    strips = -(-grid // max(1, STRIP_BYTES // row_bytes - 2 * cv - extra))
-    return -(-grid // strips)
+    strips = -(-h // max(1, STRIP_BYTES // row_bytes - 2 * cv - pad))
+    return -(-h // strips)
 
 
 def _conv_strips(kernel, signal, rows):
     """:func:`_conv_forward` computed ``rows`` output rows at a time, with
     the whole-image call's products and sums (module docstring).
 
-    An expanding conv reads each strip from a circular slab of the input:
-    the strip plus ``kv // 2`` halo rows on each side, so every tap of a
-    strip row stacks the same input row as the whole-image stack.  A
-    contracting conv computes, strip by strip, the rows of the halo-bordered
-    grid that :func:`_fold_products` sums its taps on, each from a slab of
-    the zero-bordered input, and then folds that grid's halo rows onto the
-    image: the wrapped rows are added after all other taps, as in the
-    whole-image fold.  Either way each slab's own halo rows are discarded.
+    Each strip is computed from a circular slab of the input: the strip
+    plus ``kv // 2`` halo rows on each side, so every tap of a strip row
+    reads the same input row as on the whole image.  The rows computed for
+    the slab's own halo are discarded.
     """
-    ko, kc, kv, kh = kernel.shape
-    sr, sc, h, w = signal.shape
+    ko, kv = kernel.shape[0], kernel.shape[2]
+    sc, h, w = signal.shape[1:]
     cv = kv // 2
-    contracting = _contracting(kernel.shape)
-    grid = h + 2 * cv if contracting else h
-    out = np.empty((ko, sc, grid, w))
-    for r0 in range(0, grid, rows):
-        r1 = min(r0 + rows, grid)
-        if contracting:
-            # bordered row r is image row r - cv; the slab holds bordered
-            # rows r0 - cv .. r1 + cv, zero outside the image
-            slab = np.zeros((sr, sc, r1 - r0 + 2 * cv, w))
-            lo, hi = max(r0 - 2 * cv, 0), min(r1, h)
-            slab[:, :, lo - r0 + 2 * cv : hi - r0 + 2 * cv] = signal[:, :, lo:hi]
-        else:
-            slab = signal.take(range(r0 - cv, r1 + cv), axis=2, mode="wrap")
-        # the slab's stack is dropped here, before the next one is formed
+    out = np.empty((ko, sc, h, w))
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        slab = signal.take(range(r0 - cv, r1 + cv), axis=2, mode="wrap")
+        # the slab's stack or products are dropped here, before the next are formed
         out[:, :, r0:r1] = _conv_forward(kernel, slab)[0][:, :, cv : cv + r1 - r0]
-    if not contracting:
-        return out
-    _fold_halo(out, cv, h)
-    # close up the image rows in place: each channel's rows move back over
-    # the halo rows before them, so no second output-sized array is needed
-    flat, size = out.reshape(-1), h * w
-    for b in range(ko * sc):
-        flat[b * size : (b + 1) * size] = flat[(b * grid + cv) * w : (b * grid + cv) * w + size]
-    return flat[: ko * sc * size].reshape(ko, sc, h, w)
+    return out
 
 
 def _conv_operands(kernel, signal, axis):

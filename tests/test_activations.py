@@ -1,5 +1,7 @@
 """Shrinkage and clipping estimators, thresholds, ReLU expansions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,17 @@ class TestScalarMaps:
         assert garrote_shrink(0.0, 1.0) == 0.0
         # asymptotically unbiased for large inputs
         assert garrote_shrink(100.0, 1.0) == pytest.approx(99.99)
+
+    def test_garrote_of_tiny_inputs_is_zero_without_warnings(self):
+        """t^2 / z overflows for subnormal z, and t^2 / z^2 already below
+        about 1e-154; those entries sit inside the threshold, so the
+        overflow is discarded and must not warn."""
+        spec = ActivationSpec("garrote", t=0.2)
+        z = np.array([5e-324, -5e-324, 1e-160, -1e-300, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert apply_activation(spec, z).tolist() == [0.0] * 5
+            assert activation_derivative(spec, z).tolist() == [0.0] * 5
 
     def test_dog_values(self):
         t = 0.7

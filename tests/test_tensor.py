@@ -199,6 +199,27 @@ class TestNarrowSideProperties:
             err = np.max(np.abs(tensor.conv2d(kernel, x) - want))
             assert err < 1e-12 * max(1.0, np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("kv,kh", [(3, 3), (5, 3)])
+    @pytest.mark.parametrize("contracting", [False, True], ids=["expanding", "contracting"])
+    def test_circular_shift_equivariance_is_bitwise(self, contracting, kv, kh):
+        """Every output sample sums the same products in the same order
+        wherever it sits, at the wrap as in the interior, so a circular
+        shift of the input shifts the output's bytes (widths that are
+        multiples of 8, where the BLAS computes each column alike)."""
+        rng = np.random.default_rng((contracting, kv, kh))
+        for _ in range(30):
+            narrow, wide = sorted(int(c) for c in rng.integers(1, 7, size=2))
+            ko, kc = (narrow, wide + 1) if contracting else (wide, narrow)
+            kernel = rng.normal(size=(ko, kc, kv, kh))
+            cols, h, w = int(rng.integers(1, 3)), 2 * int(rng.integers(1, 6)), 8 * int(rng.integers(1, 3))
+            shift = (int(rng.integers(h)), int(rng.integers(w)))
+            for conv, x in (
+                (tensor.conv2d, rng.normal(size=(kc, cols, h, w))),
+                (tensor.conv2d_adjoint, rng.normal(size=(ko, cols, h, w))),
+            ):
+                moved = conv(kernel, np.roll(x, shift, axis=(2, 3)))
+                assert moved.tobytes() == np.roll(conv(kernel, x), shift, axis=(2, 3)).tobytes()
+
     @pytest.mark.parametrize("ko,kc", CHANNELS)
     def test_adjoint_inner_product(self, ko, kc):
         rng = np.random.default_rng((ko, kc, 2))
@@ -246,11 +267,13 @@ class TestNarrowSideProperties:
 
 
 # Strips against the whole image: expanding, equal and contracting channel
-# counts (out, in), including the reference model's 24 -> 12.  Widths are
-# multiples of 8 and an expanding conv's in * kv * kh stays at most 384,
-# where the BLAS rounds each kept column of a product the same way at any
-# product width (see the tensor module docstring); the last test below
-# covers the other shapes against the oracle.
+# counts (out, in), including the reference model's 24 -> 12.  The strips are
+# bitwise where the BLAS rounds each kept column of a product the same way at
+# any product width (see the tensor module docstring).  An expanding or equal
+# conv's product is as wide as the image, so its widths are multiples of 8,
+# and its in * kv * kh stays at most 384.  A contracting conv pads its
+# product to whole 8-column tiles, so it is bitwise at any width.  The last
+# test below covers the other expanding shapes against the oracle.
 STRIP_CHANNELS = [(4, 1), (6, 2), (1, 1), (3, 3), (6, 6), (1, 4), (2, 5), (12, 24)]
 STRIP_KERNELS = [(3, 3), (5, 5), (7, 7), (3, 7)]
 
@@ -266,15 +289,16 @@ class TestConvStrips:
             # odd and even heights; a 5- or 7-row kernel reaches further
             # than the 1- and 2-row images wrap
             for h in (1, 2, 3, 6, 7):
-                kernel = rng.normal(size=(ko, kc, kv, kh))
-                x = rng.normal(size=(kc, int(rng.integers(1, 3)), h, 8 * int(rng.integers(1, 3))))
-                whole, _ = tensor._conv_forward(kernel, x)
-                want = conv2d_roll_reference(kernel, x)
-                assert np.max(np.abs(whole - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
-                for rows in range(1, h + 1):
-                    out = tensor._conv_strips(kernel, x, rows)
-                    assert out.flags.c_contiguous and out.shape == whole.shape
-                    assert out.tobytes() == whole.tobytes(), (kv, kh, h, rows)
+                for w in (8, 16) + ((6, 10) if kc > ko else ()):
+                    kernel = rng.normal(size=(ko, kc, kv, kh))
+                    x = rng.normal(size=(kc, int(rng.integers(1, 3)), h, w))
+                    whole, _ = tensor._conv_forward(kernel, x)
+                    want = conv2d_roll_reference(kernel, x)
+                    assert np.max(np.abs(whole - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+                    for rows in range(1, h + 1):
+                        out = tensor._conv_strips(kernel, x, rows)
+                        assert out.flags.c_contiguous and out.shape == whole.shape
+                        assert out.tobytes() == whole.tobytes(), (kv, kh, h, w, rows)
 
     def test_strips_match_the_nested_loop_oracle(self):
         rng = np.random.default_rng(10)
