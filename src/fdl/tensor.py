@@ -193,14 +193,15 @@ def _fold_products(kmat, signal, kv, kh, correlate=False):
     padded = np.empty((sr, -(-n // 8) * 8))
     padded[:, n:] = 0.0
     grid = padded[:, :n].reshape(sr, sc, pv, ph)
-    if cv > h or ch > w:  # the reach wraps around the image more than once
-        grid[...] = np.pad(signal, ((0, 0), (0, 0), (cv, cv), (ch, ch)), mode="wrap")
-    else:
-        grid[:, :, cv : cv + h, ch : ch + w] = signal
-        grid[:, :, cv : cv + h, :ch] = signal[..., w - ch :]
-        grid[:, :, cv : cv + h, ch + w :] = signal[..., :ch]
-        grid[:, :, :cv] = grid[:, :, h : h + cv]
-        grid[:, :, cv + h :] = grid[:, :, cv : 2 * cv]
+    grid[:, :, cv : cv + h, ch : ch + w] = signal
+    body = grid[:, :, cv : cv + h]
+    # each wrap column, then row, copies one filled a period nearer the image
+    for j in range(ch):
+        body[..., ch - 1 - j] = body[..., ch - 1 - j + w]
+        body[..., ch + w + j] = body[..., ch + j]
+    for i in range(cv):
+        grid[:, :, cv - 1 - i] = grid[:, :, cv - 1 - i + h]
+        grid[:, :, cv + h + i] = grid[:, :, cv + i]
     products = kmat @ padded
     rows = products.shape[0] // (kv * kh)
     first = cv * ph + ch  # flat position of image sample (0, 0)
