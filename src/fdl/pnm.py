@@ -39,6 +39,7 @@ def write_pgm(path, image) -> None:
 # A header token: a run of non-whitespace, or a # comment to the end of its
 # line, which starts only where a token would.
 _TOKEN = re.compile(rb"#[^\n]*|\S+")
+_COMMENT = re.compile(rb"(?<!\S)#[^\n]*")
 
 
 def _tokens(data: bytes):
@@ -64,8 +65,10 @@ def _read_pgm(data: bytes) -> np.ndarray:
     if not 1 <= maxval <= 65535 or width < 1 or height < 1:
         raise ConfigError("malformed PGM header")
     if magic == b"P2":
+        # the samples are the tokens left once the comments are dropped,
+        # converted to integers by numpy rather than one int() per token
         try:
-            pixels = np.array([int(tok) for tok, _ in _tokens(data[end:])], dtype=float)
+            pixels = np.array(_COMMENT.sub(b"", data[end:]).split()).astype(np.int64)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed PGM sample: {exc}") from exc
     elif magic == b"P5":

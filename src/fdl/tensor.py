@@ -40,10 +40,11 @@ nonzero kernel gradient.
 
 :func:`conv2d` bounds its working set.  When the whole image's shift
 stack (expanding conv) or tap products (contracting conv) would exceed
-:data:`STRIP_BYTES`, it computes the output in strips of rows, each from a
-circular slab of input rows that adds the kernel's vertical reach on both
-sides, so a conv holds one strip's stack at a time instead of the image's
-(56 MB for a 12 -> 24 channel 3x3 conv at 256x256).
+:data:`STRIP_BYTES`, it computes the output in strips of rows.  A strip
+forms its own output rows only, from the windows of the input's periodic
+extension that their taps read, so a conv holds one strip's stack at a
+time instead of the image's (56 MB for a 12 -> 24 channel 3x3 conv at
+256x256).
 
 Every output sample sums its taps in tap order, at the image's wrap as
 anywhere else: a fold forms its tap products on the signal wrap-padded by
@@ -156,62 +157,61 @@ def _offsets(kv, kh):
 
 
 def _shift_stack(signal, kv, kh, correlate=False):
-    """Stack of circularly shifted copies of ``signal``, one per kernel tap.
+    """Stack of circularly shifted copies of ``signal``, one per kernel tap:
+    :func:`_stack_rows` over every row of the image."""
+    return _stack_rows(signal, kv, kh, range(signal.shape[2]), correlate)
 
-    Layout is ``(rows, taps, cols, H, W)`` with taps enumerated row-major
-    over the kernel window, matching ``kernel.reshape(out, -1)``.  With
-    ``correlate=True`` shifts run in the opposite direction (used by the
-    adjoint).  Each tap is filled by :func:`_wrap_shift`'s block copies,
-    with no padded copy of the signal.
+
+def _stack_rows(signal, kv, kh, rows, correlate=False):
+    """Rows ``rows`` (a ``range``) of the shift stack of ``signal``.
+
+    Layout is ``(signal rows, taps, cols, len(rows), W)`` with taps
+    enumerated row-major over the kernel window, matching
+    ``kernel.reshape(out, -1)``.  With ``correlate=True`` shifts run in the
+    opposite direction (used by the adjoint).  Each tap is one
+    :func:`_wrap_window` of the signal, with no padded copy of it.
     """
-    sr, sc, h, w = signal.shape
+    sr, sc, _, w = signal.shape
     sign = -1 if correlate else 1
-    stack = np.empty((sr, kv * kh, sc, h, w))
+    stack = np.empty((sr, kv * kh, sc, len(rows), w))
     for i, (du, dv) in enumerate(_offsets(kv, kh)):
-        _wrap_shift(stack[:, i], signal, sign * du, sign * dv)
+        _wrap_window(stack[:, i], signal, rows.start - sign * du, -sign * dv)
     return stack
 
 
-def _fold_products(kmat, signal, kv, kh, correlate=False):
+def _fold_products(kmat, signal, kv, kh, correlate=False, rows=None):
     """Fold (col2im) of the per-tap products ``kmat @ signal``: the adjoint
     of :func:`_shift_stack`, applied to them, so each tap's product plane
-    is shifted back and summed into ``(rows, cols, H, W)``.
+    is shifted back and summed into ``(out, cols, len(rows), W)``.  Only
+    image rows ``rows`` (a ``range``, default all) are formed.
 
-    ``kmat`` holds one block of ``rows`` rows per tap, taps in stack order.
-    The product is taken on a copy of ``signal`` wrap-padded by the
-    kernel's reach, so every plane already holds, around each image
-    sample, the products of the circular neighbours that its taps read:
-    each plane lands by one contiguous flat shift, and every output sample
-    sums its taps in tap order, at the wrap as anywhere else.  The flat
-    width of the product is rounded up to a multiple of 8 with zero
-    columns (see the module docstring).
+    ``kmat`` holds one block of ``out`` rows per tap, taps in stack order.
+    The product is taken on the window of the signal's periodic extension
+    that adds the kernel's reach around those rows, so every plane already
+    holds, around each output sample, the products of the circular
+    neighbours that its taps read: each plane lands by one contiguous flat
+    shift, and every output sample sums its taps in tap order, at the wrap
+    as anywhere else.  The flat width of the product is rounded up to a
+    multiple of 8 with zero columns (see the module docstring).
     """
     sr, sc, h, w = signal.shape
+    rows = range(h) if rows is None else rows
     cv, ch = kv // 2, kh // 2
-    pv, ph = h + 2 * cv, w + 2 * ch
+    pv, ph = len(rows) + 2 * cv, w + 2 * ch
     n = sc * pv * ph
     padded = np.empty((sr, -(-n // 8) * 8))
     padded[:, n:] = 0.0
-    grid = padded[:, :n].reshape(sr, sc, pv, ph)
-    grid[:, :, cv : cv + h, ch : ch + w] = signal
-    body = grid[:, :, cv : cv + h]
-    # each wrap column, then row, copies one filled a period nearer the image
-    for j in range(ch):
-        body[..., ch - 1 - j] = body[..., ch - 1 - j + w]
-        body[..., ch + w + j] = body[..., ch + j]
-    for i in range(cv):
-        grid[:, :, cv - 1 - i] = grid[:, :, cv - 1 - i + h]
-        grid[:, :, cv + h + i] = grid[:, :, cv + i]
+    _wrap_window(padded[:, :n].reshape(sr, sc, pv, ph), signal, rows.start - cv, -ch)
     products = kmat @ padded
-    rows = products.shape[0] // (kv * kh)
-    first = cv * ph + ch  # flat position of image sample (0, 0)
-    size = n - 2 * first  # up to the last image sample of the last signal column
-    acc = np.zeros((rows, n))
+    ko = products.shape[0] // (kv * kh)
+    first = cv * ph + ch  # flat position of output sample (0, 0)
+    size = n - 2 * first  # up to the last output sample of the last signal column
+    acc = np.zeros((ko, n))
     sign = -1 if correlate else 1  # as in _shift_stack, whose adjoint this is
     for i, (du, dv) in enumerate(_offsets(kv, kh)):
         start = first + sign * (du * ph + dv)
-        acc[:, :size] += products[i * rows : (i + 1) * rows, start : start + size]
-    return np.ascontiguousarray(acc.reshape(rows, sc, pv, ph)[:, :, :h, :w])
+        acc[:, :size] += products[i * ko : (i + 1) * ko, start : start + size]
+    return np.ascontiguousarray(acc.reshape(ko, sc, pv, ph)[:, :, : len(rows), :w])
 
 
 def _contracting(kernel_shape):
@@ -221,7 +221,14 @@ def _contracting(kernel_shape):
 
 def _conv_forward(kernel, signal):
     """Circular convolution; also returns the input's shift stack for the
-    kernel gradient, or ``None`` for a contracting conv.
+    kernel gradient, or ``None`` for a contracting conv: :func:`_conv_rows`
+    over every row of the image."""
+    return _conv_rows(kernel, signal, range(signal.shape[2]))
+
+
+def _conv_rows(kernel, signal, rows):
+    """Rows ``rows`` (a ``range``) of the circular convolution, and their
+    shift stack of the input, or ``None`` for a contracting conv.
 
     An expanding (or equal) conv stacks its input, ``kc * k^2`` rows, and
     applies the kernel in one matrix product.  A contracting conv instead
@@ -231,11 +238,11 @@ def _conv_forward(kernel, signal):
     ko, kc, kv, kh = kernel.shape
     if _contracting(kernel.shape):
         kmat = kernel.transpose(2, 3, 0, 1).reshape(kv * kh * ko, kc)
-        return _fold_products(kmat, signal, kv, kh, correlate=True), None
-    sr, sc, h, w = signal.shape
-    stack = _shift_stack(signal, kv, kh)
-    out = kernel.reshape(ko, kc * kv * kh) @ stack.reshape(sr * kv * kh, sc * h * w)
-    return out.reshape(ko, sc, h, w), stack
+        return _fold_products(kmat, signal, kv, kh, correlate=True, rows=rows), None
+    sr, sc, _, w = signal.shape
+    stack = _stack_rows(signal, kv, kh, rows)
+    out = kernel.reshape(ko, kc * kv * kh) @ stack.reshape(sr * kv * kh, sc * len(rows) * w)
+    return out.reshape(ko, sc, len(rows), w), stack
 
 
 def _conv_grad_signal(kernel, grad, *, stack=None):
@@ -303,22 +310,21 @@ def _strip_rows(kernel_shape, signal_shape):
     """Rows per strip of :func:`conv2d`, or ``None`` when the whole image's
     stack or tap products fit in :data:`STRIP_BYTES`.
 
-    A strip of ``R`` rows reads a slab of ``R + 2 * cv`` input rows, where
-    ``cv = kv // 2``.  An expanding conv stacks the slab; a contracting one
-    forms tap products over the slab wrap-padded by ``cv`` more rows on
-    each side.  All strips but the last have the same height, so that
-    successive strips allocate arrays of one size.
+    A strip of ``R`` rows holds ``k^2`` planes of the conv's narrow side
+    (its input when expanding, its output when contracting) over at most
+    ``R + 2 * (kv // 2)`` rows of ``W + 2 * (kh // 2)`` columns: a
+    contracting strip forms tap products over the kernel's reach around
+    its rows, an expanding one stacks its own rows only.  All strips but
+    the last have the same height, so that successive strips allocate
+    arrays of one size.
     """
     ko, kc, kv, kh = kernel_shape
     sc, h, w = signal_shape[1:]
-    cv = kv // 2
-    if _contracting(kernel_shape):
-        row_bytes, pad = ko * kv * kh * sc * (w + 2 * (kh // 2)) * 8, 2 * cv
-    else:
-        row_bytes, pad = kc * kv * kh * sc * w * 8, 0
+    pad = 2 * (kv // 2)
+    row_bytes = min(ko, kc) * kv * kh * sc * (w + 2 * (kh // 2)) * 8
     if row_bytes * (h + pad) <= STRIP_BYTES:
         return None
-    strips = -(-h // max(1, STRIP_BYTES // row_bytes - 2 * cv - pad))
+    strips = -(-h // max(1, STRIP_BYTES // row_bytes - pad))
     return -(-h // strips)
 
 
@@ -326,20 +332,17 @@ def _conv_strips(kernel, signal, rows):
     """:func:`_conv_forward` computed ``rows`` output rows at a time, with
     the whole-image call's products and sums (module docstring).
 
-    Each strip is computed from a circular slab of the input: the strip
-    plus ``kv // 2`` halo rows on each side, so every tap of a strip row
-    reads the same input row as on the whole image.  The rows computed for
-    the slab's own halo are discarded.
+    Each strip forms its own output rows alone, from the windows of the
+    input's periodic extension that its taps read, so every output row is
+    formed once.
     """
-    ko, kv = kernel.shape[0], kernel.shape[2]
+    ko = kernel.shape[0]
     sc, h, w = signal.shape[1:]
-    cv = kv // 2
     out = np.empty((ko, sc, h, w))
     for r0 in range(0, h, rows):
         r1 = min(r0 + rows, h)
-        slab = signal.take(range(r0 - cv, r1 + cv), axis=2, mode="wrap")
-        # the slab's stack or products are dropped here, before the next are formed
-        out[:, :, r0:r1] = _conv_forward(kernel, slab)[0][:, :, cv : cv + r1 - r0]
+        # the strip's stack or products are dropped here, before the next are formed
+        out[:, :, r0:r1] = _conv_rows(kernel, signal, range(r0, r1))[0]
     return out
 
 
@@ -412,19 +415,40 @@ def _bank_taps(filters):
     return offsets, np.ascontiguousarray(flat[:, taps])
 
 
-def _wrap_shift(dst, src, a, b, add=False):
-    """``dst = np.roll(src, (a, b))`` over the two spatial axes (``+=``
-    with ``add``), written block by block without a temporary."""
+def _wrap_runs(start, length, period):
+    """``(dst, src, count)`` runs that copy ``length`` samples of a
+    ``period``-periodic axis from ``start`` on; one run when no wrap is
+    crossed."""
+    s = start % period
+    if s + length <= period:
+        return ((0, s, length),)
+    d = period - s
+    runs = [(0, s, d)]
+    while d + period < length:
+        runs.append((d, 0, period))
+        d += period
+    runs.append((d, 0, length - d))
+    return runs
+
+
+def _wrap_window(dst, src, r0, c0, add=False):
+    """Write into ``dst`` (``+=`` with ``add``) the window of ``src``'s
+    periodic extension over the two spatial axes whose first sample is
+    ``src[..., r0 % n, c0 % m]``, block by block without a temporary.
+
+    The window may be larger than ``src``; ``np.roll(src, (a, b))`` is the
+    ``src``-sized window at ``(-a, -b)``.
+    """
     n, m = src.shape[-2:]
-    a, b = a % n, b % m
-    for d0, s0, n0 in ((0, n - a, a), (a, 0, n - a)):
-        for d1, s1, n1 in ((0, m - b, b), (b, 0, m - b)):
-            if n0 and n1:
-                block = src[..., s0 : s0 + n0, s1 : s1 + n1]
-                if add:
-                    dst[..., d0 : d0 + n0, d1 : d1 + n1] += block
-                else:
-                    dst[..., d0 : d0 + n0, d1 : d1 + n1] = block
+    h, w = dst.shape[-2:]
+    cols = _wrap_runs(c0, w, m)
+    for d0, s0, n0 in _wrap_runs(r0, h, n):
+        for d1, s1, n1 in cols:
+            block = src[..., s0 : s0 + n0, s1 : s1 + n1]
+            if add:
+                dst[..., d0 : d0 + n0, d1 : d1 + n1] += block
+            else:
+                dst[..., d0 : d0 + n0, d1 : d1 + n1] = block
 
 
 def bank_down(filters, x) -> np.ndarray:
@@ -446,7 +470,7 @@ def bank_down(filters, x) -> np.ndarray:
     stack = np.empty((c, len(offsets), cols, h, w))
     for i, (du, dv) in enumerate(offsets):
         e, f = du % 2, dv % 2
-        _wrap_shift(stack[:, i], x[:, :, e::2, f::2], (du + e) // 2, (dv + f) // 2)
+        _wrap_window(stack[:, i], x[:, :, e::2, f::2], -((du + e) // 2), -((dv + f) // 2))
     out = weights @ stack.reshape(c, len(offsets), cols * h * w)
     return out.reshape(c * filters.shape[0], cols, h, w)
 
@@ -474,8 +498,8 @@ def bank_up(filters, x) -> np.ndarray:
     written = set()  # output phases that a tap has written; later ones add
     for i, (du, dv) in enumerate(offsets):
         e, f = du % 2, dv % 2
-        shift = (du - e) // 2, (dv - f) // 2
-        _wrap_shift(out[:, :, e::2, f::2], mixed[:, i], *shift, add=(e, f) in written)
+        start = -((du - e) // 2), -((dv - f) // 2)
+        _wrap_window(out[:, :, e::2, f::2], mixed[:, i], *start, add=(e, f) in written)
         written.add((e, f))
     for e, f in {(0, 0), (0, 1), (1, 0), (1, 1)} - written:
         out[:, :, e::2, f::2] = 0.0

@@ -418,7 +418,8 @@ class TestCriterion12:
                     if name == "manifest.json":  # carries wall-clock by contract
                         continue
                     rel = os.path.relpath(os.path.join(dirpath, name), tmp_path / run)
-                    tree[rel] = open(os.path.join(dirpath, name), "rb").read()
+                    with open(os.path.join(dirpath, name), "rb") as fh:
+                        tree[rel] = fh.read()
             outputs.append(tree)
         identical = outputs[0] == outputs[1]
         report(

@@ -247,11 +247,11 @@ class TestGradCheck:
 
     def test_backward_frees_closure_data_while_loss_is_referenced(self, monkeypatch):
         held = []  # weak references to every stack and rectifier mask
-        shift_stack = tensor._shift_stack
+        stack_rows = tensor._stack_rows
         derivative = ad.activation_derivative
 
         def stacks(*args, **kwargs):
-            out = shift_stack(*args, **kwargs)
+            out = stack_rows(*args, **kwargs)
             held.append(weakref.ref(out))
             return out
 
@@ -260,7 +260,7 @@ class TestGradCheck:
             held.append(weakref.ref(out))
             return out
 
-        monkeypatch.setattr(tensor, "_shift_stack", stacks)
+        monkeypatch.setattr(tensor, "_stack_rows", stacks)
         monkeypatch.setattr(ad, "activation_derivative", masks)
         model = build_toy(seed=1)
         clean = np.random.default_rng(1).uniform(size=(1, 1, 16, 16))
@@ -313,13 +313,13 @@ class TestPruning:
 
     def test_each_conv_stacks_its_narrow_side_once(self, monkeypatch):
         rows = []
-        shift_stack = tensor._shift_stack
+        stack_rows = tensor._stack_rows
 
-        def counted(signal, kv, kh, correlate=False):
+        def counted(signal, kv, kh, window, correlate=False):
             rows.append((signal.shape[0], correlate))
-            return shift_stack(signal, kv, kh, correlate)
+            return stack_rows(signal, kv, kh, window, correlate)
 
-        monkeypatch.setattr(tensor, "_shift_stack", counted)
+        monkeypatch.setattr(tensor, "_stack_rows", counted)
         model = build_toy(seed=1)
         clean = np.random.default_rng(1).uniform(size=(1, 1, 16, 16))
         ad.backward(ad.mse(model.forward(clean), ad.constant(clean)))

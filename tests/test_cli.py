@@ -784,7 +784,8 @@ def tree_bytes(root, skip=("manifest.json",)):
             if name in skip:
                 continue
             path = os.path.join(dirpath, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
     return out
 
 

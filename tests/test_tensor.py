@@ -349,6 +349,94 @@ class TestConvStrips:
         assert calls["_conv_forward"] == 6
 
 
+class TestStripRows:
+    """Each strip forms its own output rows and no others, and holds at
+    most STRIP_BYTES of the narrow side's planes."""
+
+    @pytest.mark.parametrize("ko,kc", [(24, 12), (12, 24)])
+    def test_strips_form_each_output_row_once(self, ko, kc, monkeypatch):
+        formed = []  # the output rows each strip's stack or fold formed
+        stack_rows, fold_products = tensor._stack_rows, tensor._fold_products
+
+        def stacked(signal, kv, kh, rows, correlate=False):
+            formed.append(rows)
+            return stack_rows(signal, kv, kh, rows, correlate)
+
+        def folded(*args, rows=None, **kwargs):
+            formed.append(rows)
+            return fold_products(*args, rows=rows, **kwargs)
+
+        monkeypatch.setattr(tensor, "_stack_rows", stacked)
+        monkeypatch.setattr(tensor, "_fold_products", folded)
+        rng = np.random.default_rng((ko, kc, 14))
+        kernel = rng.normal(size=(ko, kc, 3, 3))
+        x = rng.normal(size=(kc, 1, 256, 256))
+        out = tensor.conv2d(kernel, x)
+        assert len(formed) > 1  # the conv took strips
+        assert [r for span in formed for r in span] == list(range(256))
+        whole, _ = tensor._conv_forward(kernel, x)
+        assert out.tobytes() == whole.tobytes()
+
+    def test_a_strip_holds_the_budget(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            ko, kc = (int(v) for v in rng.integers(1, 33, size=2))
+            kv, kh = (int(v) for v in rng.choice([1, 3, 5, 7], size=2))
+            sc = int(rng.integers(1, 3))
+            h, w = (int(v) for v in rng.integers(8, 1025, size=2))
+            rows = tensor._strip_rows((ko, kc, kv, kh), (kc, sc, h, w))
+            held = min(ko, kc) * kv * kh * sc * (w + 2 * (kh // 2)) * 8
+            if rows is None:
+                assert held * (h + 2 * (kv // 2)) <= tensor.STRIP_BYTES
+            else:
+                assert 1 <= rows < h
+                assert rows == 1 or held * (rows + 2 * (kv // 2)) <= tensor.STRIP_BYTES
+
+    def test_reference_strips_at_512(self):
+        # 9 rows of 514 columns of 12 * 9 planes fill the 4 MB budget, so
+        # both 12-channel convs of the reference model keep 7 rows a strip
+        for shape in ((24, 12, 3, 3), (12, 24, 3, 3)):
+            assert tensor._strip_rows(shape, (shape[1], 1, 512, 512)) == 7
+
+
+class TestWrapWindow:
+    """The periodic-window copy under every shift stack, fold and bank
+    equals numpy's wrap-mode take, byte for byte."""
+
+    @staticmethod
+    def take(src, r0, c0, h, w):
+        rows = src.take(range(r0, r0 + h), axis=2, mode="wrap")
+        return rows.take(range(c0, c0 + w), axis=3, mode="wrap")
+
+    def test_matches_take_wrap_bitwise(self):
+        rng = np.random.default_rng(16)
+        cases = [(4, 3, 12, 9, -5, 7), (1, 1, 3, 3, -2, 2), (5, 6, 5, 6, 0, 0), (6, 2, 18, 1, 13, -1)]
+        for _ in range(300):
+            n, m = (int(v) for v in rng.integers(1, 7, size=2))
+            h, w = int(rng.integers(1, 3 * n + 1)), int(rng.integers(1, 3 * m + 1))
+            r0, c0 = int(rng.integers(-3 * n, 3 * n + 1)), int(rng.integers(-3 * m, 3 * m + 1))
+            cases.append((n, m, h, w, r0, c0))
+        for n, m, h, w, r0, c0 in cases:
+            src = rng.normal(size=(2, 3, n, m))
+            want = self.take(src, r0, c0, h, w)
+            dst = np.empty((2, 3, h, w))
+            tensor._wrap_window(dst, src, r0, c0)
+            assert dst.tobytes() == want.tobytes(), (n, m, h, w, r0, c0)
+            base = rng.normal(size=(2, 3, h, w))
+            added = base.copy()
+            tensor._wrap_window(added, src, r0, c0, add=True)
+            assert added.tobytes() == (base + want).tobytes(), (n, m, h, w, r0, c0)
+
+    def test_strided_destination(self):
+        # the banks write one output phase, a strided view, per tap
+        rng = np.random.default_rng(17)
+        src = rng.normal(size=(2, 1, 5, 4))
+        out = np.zeros((2, 1, 14, 8))
+        tensor._wrap_window(out[:, :, 1::2, ::2], src, -3, 6)
+        assert out[:, :, 1::2, ::2].tobytes() == self.take(src, -3, 6, 7, 4).tobytes()
+        assert not out[:, :, ::2].any() and not out[:, :, :, 1::2].any()
+
+
 def random_pointwise_case(rng, ko, kc, size):
     """A ``size x size`` kernel whose only nonzero taps are its centers
     (about a third of them zero as well), a signal of 1-3 columns with even
