@@ -1,10 +1,11 @@
 """Minimal reverse-mode differentiation engine.
 
 Covers exactly the operations the trainable models need: tensor
-convolution, channel transposition, the fixed per-channel resampling
-filter banks (analysis with decimation by 2, synthesis with up-sampling
-by 2), the activation family, elementwise add/subtract, per-channel bias,
-and mean squared error.  Graphs are built eagerly as Python objects and
+convolution, which carries the per-channel bias and the activation that
+follow it as one node, channel transposition, the fixed per-channel
+resampling filter banks (analysis with decimation by 2, synthesis with
+up-sampling by 2), the activation family, elementwise add/subtract, and
+mean squared error.  Graphs are built eagerly as Python objects and
 differentiated once by a topological sweep.
 
 Gradients accumulate into ``Node.grad``; parameters start with a zero
@@ -40,7 +41,6 @@ __all__ = [
     "bank_up",
     "add",
     "sub",
-    "add_bias",
     "act",
     "mse",
     "backward",
@@ -88,35 +88,64 @@ def constant(value) -> Node:
     return Node(np.asarray(value, dtype=np.float64))
 
 
-def conv(kernel: Node, signal: Node) -> Node:
-    """Differentiable circular tensor convolution."""
+def conv(kernel: Node, signal: Node, bias: Node | None = None,
+         act: ActivationSpec | None = None) -> Node:
+    """Differentiable circular tensor convolution, then an optional
+    per-channel bias and an optional activation, as one node.
+
+    The bias is added in place into the fresh conv output, and the
+    activation's derivative is taken there before the activation replaces
+    it, so the node keeps one activation-sized value.  Its backward forms
+    the masked upstream gradient (the upstream gradient times that
+    derivative) once; the bias, kernel and signal VJPs all read it.
+    Parents are ``(kernel, signal)``, then ``bias`` when one is given.
+    """
     kval, sval = kernel.value, signal.value
     if kval.shape[1] != sval.shape[0]:
         raise ShapeError(f"channel mismatch: kernel {kval.shape} vs signal {sval.shape}")
+    if bias is not None and (bias.value.ndim != 1 or bias.value.size != kval.shape[0]):
+        raise ShapeError(f"bias of shape {bias.value.shape} does not fit kernel {kval.shape}")
     out, stack = T._conv_forward(kval, sval)
+    if bias is not None:
+        out += bias.value[:, None, None, None]
+    deriv = None
+    if act is not None:
+        deriv = activation_derivative(act, out)
+        out = apply_activation(act, out)
+    cache = [None, None, None]  # (upstream gradient, its masked form, correlate stack of that)
+
+    def masked(g):
+        if cache[0] is not g:
+            cache[:] = g, g if deriv is None else g * deriv, None
+        return cache[1]
+
     if stack is not None:  # expanding: the kernel gradient reuses the input's stack
 
         def d_kernel(g):
-            return T._conv_grad_kernel(stack, g, kval.shape)
+            return T._conv_grad_kernel(stack, masked(g), kval.shape)
 
         def d_signal(g):
-            return T._conv_grad_signal(kval, g)
+            return T._conv_grad_signal(kval, masked(g))
 
-    else:  # contracting: both gradients share one stack of the upstream gradient
-        cache = [None, None]  # (upstream gradient, its correlate stack)
+    else:  # contracting: both gradients share one stack of the masked gradient
 
         def grad_stack(g):
-            if cache[0] is not g:
-                cache[:] = g, T._shift_stack(g, *kval.shape[2:], correlate=True)
-            return cache[1]
+            gm = masked(g)  # a new upstream gradient resets the stack
+            if cache[2] is None:
+                cache[2] = T._shift_stack(gm, *kval.shape[2:], correlate=True)
+            return cache[2]
 
         def d_kernel(g):
             return T._conv_grad_kernel(grad_stack(g), sval, kval.shape)
 
         def d_signal(g):
-            return T._conv_grad_signal(kval, g, stack=grad_stack(g))
+            return T._conv_grad_signal(kval, masked(g), stack=grad_stack(g))
 
-    return Node(out, (kernel, signal), (d_kernel, d_signal))
+    parents, vjps = (kernel, signal), (d_kernel, d_signal)
+    if bias is not None:
+        parents += (bias,)
+        vjps += (lambda g: masked(g).sum(axis=(1, 2, 3)),)
+    return Node(out, parents, vjps)
 
 
 def transpose(node: Node) -> Node:
@@ -149,14 +178,6 @@ def sub(a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"sub shape mismatch: {a.value.shape} vs {b.value.shape}")
     return Node(a.value - b.value, (a, b), (lambda g: g, lambda g: -g))
-
-
-def add_bias(x: Node, bias: Node) -> Node:
-    """Add a per-channel bias vector to a 4-D tensor."""
-    if bias.value.ndim != 1 or x.value.ndim != 4 or bias.value.size != x.value.shape[0]:
-        raise ShapeError(f"bias of shape {bias.value.shape} does not fit tensor {x.value.shape}")
-    value = x.value + bias.value[:, None, None, None]
-    return Node(value, (x, bias), (lambda g: g, lambda g: g.sum(axis=(1, 2, 3))))
 
 
 def act(node: Node, spec: ActivationSpec) -> Node:
@@ -213,6 +234,6 @@ def backward(loss: Node) -> None:
         for parent, vjp in zip(node.parents, node.vjps):
             if parent.needs_grad:
                 g = vjp(node.grad)
-                # identity VJPs (add, add_bias, sub) return the node's own array
+                # identity VJPs (add, sub) return the node's own array
                 parent._accumulate(g.copy() if g is node.grad else g)
         node.vjps = node.grad = None

@@ -447,19 +447,19 @@ def spec_from_json(payload: dict) -> NetworkSpec:
 # ---------------------------------------------------------------------------
 
 
-def _add_bias_in_place(x, bias):
-    """``x + bias`` per row, written into ``x``.  :func:`evaluate` passes
-    the array ``conv`` has just returned, so the sum needs no second
-    activation-sized array."""
-    x += bias[:, None, None, None]
-    return x
+def _conv(kernel, x, bias=None, act=None):
+    """``conv2d``, then the bias added in place into its fresh output, then
+    the activation."""
+    out = conv2d(kernel, x)
+    if bias is not None:
+        out += bias[:, None, None, None]
+    return out if act is None else apply_activation(act, out)
 
 
 # The op set of :func:`evaluate` on plain arrays; :mod:`fdl.autodiff`
 # provides the same names on graph nodes.
 NUMPY_OPS = SimpleNamespace(
-    conv=lambda kernel, x: conv2d(kernel, x),
-    add_bias=_add_bias_in_place,
+    conv=_conv,
     act=lambda x, spec: apply_activation(spec, x),
     bank_down=bank_down,
     bank_up=bank_up,
@@ -474,10 +474,13 @@ def evaluate(spec: NetworkSpec, conv_weights, x, ops):
     ``ops`` supplies, either as :data:`NUMPY_OPS` over arrays or as
     :mod:`fdl.autodiff` over graph nodes:
 
-    * ``conv(kernel, x)`` and ``add_bias(x, bias)`` for Conv layers;
-      ``add_bias`` receives only ``conv``'s fresh result, and may
-      write into it;
-    * ``act(x, spec)`` for Activation layers;
+    * ``conv(kernel, x, bias, act)`` for Conv layers: the convolution,
+      then the per-channel ``bias`` unless it is None, then the activation
+      ``act`` unless it is None.  ``act`` is the spec of the Activation
+      layer right after the Conv when that layer reads the Conv's output
+      (its ``source`` is None) and no other layer names that output; the
+      Activation layer then applies nothing more;
+    * ``act(x, spec)`` for the other Activation layers;
     * ``bank_down(filters, x)`` / ``bank_up(filters, x)`` for Resample
       layers: a fixed ``(bands, 1, k, k)`` filter stack applied to each
       channel, with decimation by 2 (analysis) or up-sampling by 2
@@ -491,20 +494,28 @@ def evaluate(spec: NetworkSpec, conv_weights, x, ops):
     outputs that a later layer names as ``source`` or ``from_`` are kept
     alive.
     """
-    named = {ref for layer in spec.layers for ref in (layer.source, getattr(layer, "from_", None))}
+    layers = spec.layers
+    named = {ref for layer in layers for ref in (layer.source, getattr(layer, "from_", None))}
+    # Activation layers that the Conv before them applies
+    fused = {
+        idx + 1
+        for idx, (layer, after) in enumerate(zip(layers, layers[1:]))
+        if isinstance(layer, Conv) and isinstance(after, Activation)
+        and after.source is None and idx not in named
+    }
     kept = {-1: x}
     weights = iter(conv_weights)
     out = x
-    for idx, layer in enumerate(spec.layers):
+    for idx, layer in enumerate(layers):
         if layer.source is not None:
             out = kept[layer.source]
         if isinstance(layer, Conv):
             kernel, bias = next(weights)
-            out = ops.conv(kernel, out)
-            if bias is not None:
-                out = ops.add_bias(out, bias)
+            act = layers[idx + 1].spec if idx + 1 in fused else None
+            out = ops.conv(kernel, out, bias, act)
         elif isinstance(layer, Activation):
-            out = ops.act(out, layer.spec)
+            if idx not in fused:
+                out = ops.act(out, layer.spec)
         elif isinstance(layer, Resample):
             bank = ops.bank_down if layer.direction == "down" else ops.bank_up
             out = bank(_resample_filters()[layer.kind][layer.direction], out)

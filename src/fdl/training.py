@@ -177,6 +177,15 @@ class ToyModel:
         scales by the estimated over trained noise level); ``zero_bias``
         drops them entirely.
 
+        The model's convolutions and zero-threshold rectifiers are
+        positively homogeneous, so
+        ``predict(y, bias_scale=s) == s * predict(y / s)`` for ``s > 0``:
+        the adaptive variant is the baseline run on the input divided by
+        ``s``, its output scaled back (input-gain normalization).  For a
+        power of two ``s`` every scaling is exact in floating point, and
+        the identity holds bit for bit (barring underflow and overflow);
+        for other ``s`` it holds to rounding.
+
         Its convs run in row strips (:func:`fdl.tensor.conv2d`), so the
         memory it needs is set by the activations, about 0.4 KB per pixel:
         in a fresh process, peak RSS rose by 30 MB for a 256x256 image and
@@ -279,10 +288,12 @@ def train(cfg: TrainConfig) -> tuple:
             clean = images[i]
             noisy = add_noise(clean, NoiseModel(cfg.sigma_train, seed=(cfg.seed, 2, epoch, i)))
             # ``loss`` keeps this step's graph alive until the next step's
-            # forward has run.  Freed first, its memory is trimmed from the
-            # heap by the C allocator and faulted back in by the next step
-            # (up to 23 MB per 64x64 step): 29-35 ms per step instead of
-            # 19.3 ms, measured on 2 vCPUs with BLAS at 1 thread.
+            # forward has run; after ``backward`` it holds only node values,
+            # 2.0 MB per 64x64 step.  Freed first, that memory is trimmed
+            # from the heap by the C allocator and faulted back in by the
+            # next step (2039 minor page faults per step instead of 0):
+            # 15.9-17.2 ms per step instead of 11.9-14.1 ms, in 16 of 16
+            # rounds, measured on 2 vCPUs with BLAS at 1 thread.
             loss = ad.mse(model.forward(noisy), ad.constant(clean))
             if not np.isfinite(loss.value):
                 raise NumericError(f"loss diverged at epoch {epoch}, image {i}")

@@ -8,7 +8,7 @@ import pytest
 from fdl import autodiff as ad
 from fdl import tensor
 from fdl.activations import ActivationSpec
-from fdl.errors import ConfigError
+from fdl.errors import ConfigError, ShapeError
 from fdl.network import (
     Conv,
     Network,
@@ -147,11 +147,13 @@ class TestGradCheck:
         )
 
     def test_bias_gradient(self):
+        # the bias parent of ad.conv, with no activation after it
         rng = np.random.default_rng(5)
-        x = ad.constant(rng.normal(size=(3, 1, 4, 4)))
+        k = ad.constant(rng.normal(size=(3, 2, 3, 3)))
+        x = ad.constant(rng.normal(size=(2, 1, 4, 4)))
         target = ad.constant(rng.normal(size=(3, 1, 4, 4)))
         check_gradients(
-            lambda ps: ad.mse(ad.add_bias(x, ps[0]), target),
+            lambda ps: ad.mse(ad.conv(k, x, ps[0]), target),
             [rng.normal(size=(3,))],
             rng,
         )
@@ -284,6 +286,115 @@ class TestGradCheck:
             ad.backward(loss)
             grads.append(k.grad.copy())
         assert grads[0].tobytes() == grads[1].tobytes()
+
+
+# One spec per activation family.  The kernels of TestFusedConv have 3
+# output rows, so the per-channel threshold has 3 entries.
+FUSED_SPECS = {
+    "relu0": ActivationSpec("relu_bias", t=0.0),
+    "relu": ActivationSpec("relu_bias", t=0.4),
+    "relu_per_channel": ActivationSpec("relu_bias", t=(0.2, 0.5, 0.9)),
+    "soft_shrink": ActivationSpec("soft_shrink", t=0.6),
+    "garrote": ActivationSpec("garrote", t=0.5),
+    "soft_clip": ActivationSpec("soft_clip", t=0.6),
+    "dog_shrink": ActivationSpec("dog_shrink", t=0.8, p=2),
+    "dog_clip": ActivationSpec("dog_clip", t=0.8, p=4),
+    "let": ActivationSpec(
+        "let",
+        members=(
+            (0.4, ActivationSpec("soft_shrink", t=0.3)),
+            (0.6, ActivationSpec("garrote", t=0.7)),
+        ),
+    ),
+}
+FUSED_SHAPES = {"expanding": (3, 2, 3, 3), "contracting": (3, 4, 3, 3)}
+
+
+def kink_distance(spec, z):
+    """Smallest distance of any entry of ``z`` to a threshold of ``spec``
+    (at ``z`` or at ``|z|``), per-channel thresholds taken by row."""
+    members = [m for _, m in spec.members] or [spec]
+    dist = np.inf
+    for member in members:
+        t = np.asarray(member.t, dtype=float).reshape(-1, 1, 1, 1)
+        dist = min(dist, np.min(np.abs(z - t)), np.min(np.abs(np.abs(z) - t)))
+    return dist
+
+
+class TestFusedConv:
+    """``ad.conv`` carrying a bias and an activation, as one node."""
+
+    @staticmethod
+    def operands(spec, shape, with_bias, seed):
+        """Kernel, signal and bias (or None) values, drawn until every
+        pre-activation value lies 1e-3 or more from a kink, and the rng."""
+        rng = np.random.default_rng(seed)
+        while True:
+            k = rng.normal(scale=0.4, size=shape)
+            x = rng.normal(size=(shape[1], 2, 5, 5))
+            b = rng.normal(scale=0.3, size=shape[0]) if with_bias else None
+            z = tensor.conv2d(k, x) + (0.0 if b is None else b[:, None, None, None])
+            if kink_distance(spec, z) >= 1e-3:
+                return [v for v in (k, x, b) if v is not None], rng
+
+    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no_bias"])
+    @pytest.mark.parametrize("shape", sorted(FUSED_SHAPES))
+    @pytest.mark.parametrize("spec", sorted(FUSED_SPECS))
+    def test_gradients(self, spec, shape, with_bias):
+        spec, shape = FUSED_SPECS[spec], FUSED_SHAPES[shape]
+        values, rng = self.operands(spec, shape, with_bias, seed=20)
+        target = ad.constant(rng.normal(size=(shape[0], 2, 5, 5)))
+        check_gradients(
+            lambda ps: ad.mse(ad.conv(*ps[:2], ps[2] if with_bias else None, spec), target),
+            values,
+            rng,
+        )
+
+    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no_bias"])
+    @pytest.mark.parametrize("shape", sorted(FUSED_SHAPES))
+    @pytest.mark.parametrize("spec", sorted(FUSED_SPECS))
+    def test_bitwise_equal_to_separate_act_node(self, spec, shape, with_bias):
+        spec, shape = FUSED_SPECS[spec], FUSED_SHAPES[shape]
+        values, rng = self.operands(spec, shape, with_bias, seed=21)
+        target = ad.constant(rng.normal(size=(shape[0], 2, 5, 5)))
+        runs = []
+        for fused in (True, False):
+            params = [ad.Parameter(v.copy()) for v in values]
+            bias = params[2] if with_bias else None
+            if fused:
+                out = ad.conv(params[0], params[1], bias, spec)
+            else:
+                out = ad.act(ad.conv(params[0], params[1], bias), spec)
+            ad.backward(ad.mse(out, target))
+            runs.append([out.value.tobytes()] + [p.grad.tobytes() for p in params])
+        assert runs[0] == runs[1]
+
+    def test_bias_shape_checked(self):
+        k = ad.Parameter(np.ones((2, 1, 3, 3)))
+        x = ad.constant(np.ones((1, 1, 4, 4)))
+        with pytest.raises(ShapeError, match="bias"):
+            ad.conv(k, x, ad.Parameter(np.ones(3)))
+
+    def test_reference_forward_keeps_one_array_per_conv(self):
+        # besides the input and target constants, the parameters and the
+        # transposed decoder kernels, the graph holds one activation-sized
+        # value per conv: its biased, activated output
+        model = build_toy(seed=1)
+        clean = np.random.default_rng(1).uniform(size=(1, 1, 64, 64))
+        loss = ad.mse(model.forward(clean), ad.constant(clean))
+        nodes, todo = {}, [loss]
+        while todo:
+            node = todo.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                todo.extend(node.parents)
+        inner = [node.value for node in nodes.values() if node.parents]
+        activations = [v for v in inner if v.ndim == 4 and v.shape[2:] == (64, 64)]
+        kernels = [v for v in inner if v.ndim == 4 and v.shape[2:] == (3, 3)]
+        convs = sum(isinstance(layer, Conv) for layer in model.spec.layers)
+        assert convs == 6
+        assert len(activations) == convs and len(kernels) == 3
+        assert len(inner) == convs + len(kernels) + 1  # and the scalar loss
 
 
 class TestPruning:

@@ -216,6 +216,20 @@ class TestToyModel:
             b.value[:] = 0.0
         np.testing.assert_array_equal(dropped, model.forward(y).value)
 
+    @pytest.mark.parametrize("size", [64, 256])
+    @pytest.mark.parametrize("seed", [6, 7, 8])
+    def test_bias_scale_is_input_gain_normalization(self, seed, size):
+        # the model is positively homogeneous in (input, biases); scaling
+        # by a power of two is exact, so the identity holds bit for bit
+        model = build_toy(seed=seed)
+        rng = np.random.default_rng(seed)
+        for p in model.parameters():
+            p.value += rng.normal(scale=0.05, size=p.value.shape)
+        y = rng.uniform(size=(1, 1, size, size))
+        for k in (-2, -1, 1, 3):
+            s = 2.0**k
+            assert model.predict(y, bias_scale=s).tobytes() == (s * model.predict(y / s)).tobytes()
+
     def test_adaptive_scale_one_is_baseline(self):
         model = build_toy(seed=4, init_mode="shared_enc_dec")
         y = piecewise_scene(32)

@@ -2,10 +2,12 @@
 
 import importlib.resources as ir
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fdl import autodiff as ad
 from fdl import tensor
 from fdl.activations import ActivationSpec
 from fdl.analysis import (
@@ -20,6 +22,7 @@ from fdl.analysis import (
 from fdl.errors import ConfigError
 from fdl.framelets import haar_dwt, make_basis, phase_complement
 from fdl.network import (
+    NUMPY_OPS,
     Activation,
     Conv,
     Network,
@@ -31,6 +34,7 @@ from fdl.network import (
     build_rlwfsn,
     build_toy_spec,
     build_unet,
+    evaluate,
     spec_from_json,
     spec_to_json,
     validate_spec,
@@ -195,6 +199,101 @@ class TestRuntime:
             net = ideal_instantiation(spec)
             out = net.run(np.ones((1, 1, 12, 12)))
             assert out.shape == (1, 1, 12, 12), spec.name
+
+
+def random_weights(spec, rng):
+    """One random ``(kernel, bias_or_None)`` pair per Conv of ``spec``."""
+    weights = []
+    for layer in spec.layers:
+        if isinstance(layer, Conv):
+            k = rng.normal(scale=0.3, size=(layer.out_ch, layer.in_ch, layer.n_f, layer.n_f))
+            b = rng.normal(scale=0.1, size=layer.out_ch) if layer.bias else None
+            weights.append((k, b))
+    return weights
+
+
+def as_nodes(weights):
+    return [(ad.Parameter(k), None if b is None else ad.Parameter(b)) for k, b in weights]
+
+
+class TestConvActivationFusion:
+    """``evaluate`` hands an Activation to the Conv before it only when
+    nothing else reads that Conv's output."""
+
+    @pytest.mark.parametrize("name", ["lwfsn", "red", "rlwfsn", "toy", "unet"])
+    def test_run_is_autodiff_evaluate_bitwise(self, name):
+        # unet and red feed conv and activation outputs into skips
+        spec = spec_from_json(json.loads(bundled(name).read_text()))
+        rng = np.random.default_rng(14)
+        weights = random_weights(spec, rng)
+        x = rng.normal(size=(1, 1, 8, 8))
+        out = evaluate(spec, as_nodes(weights), ad.constant(x), ad)
+        assert out.value.tobytes() == Network(spec, weights).run(x).tobytes()
+
+    def test_fuses_only_an_unnamed_conv_output(self):
+        relu = ActivationSpec("relu_bias", t=0.0)
+        spec = NetworkSpec(
+            layers=(
+                Conv(2, 1, 3),                # 0: applies layer 1
+                Activation(relu),             # 1
+                Conv(2, 2, 3),                # 2: named by layer 4
+                Activation(relu),             # 3
+                SkipAdd(from_=2),             # 4
+                Conv(2, 2, 3),                # 5: applies layer 6, which is named
+                Activation(relu),             # 6
+                Conv(2, 2, 3, bias=False),    # 7: a skip follows
+                SkipAdd(from_=6),             # 8
+                Conv(1, 2, 3),                # 9: named by layer 10
+                Activation(relu, source=9),   # 10
+            )
+        )
+        rng = np.random.default_rng(15)
+        weights = random_weights(spec, rng)
+        x = rng.normal(size=(1, 1, 8, 8))
+        calls = []
+
+        def conv(kernel, z, bias, act):
+            calls.append(("conv", act is not None))
+            return NUMPY_OPS.conv(kernel, z, bias, act)
+
+        def act(z, act_spec):
+            calls.append(("act",))
+            return NUMPY_OPS.act(z, act_spec)
+
+        ops = SimpleNamespace(**{**vars(NUMPY_OPS), "conv": conv, "act": act})
+        out = evaluate(spec, weights, x, ops)
+        assert calls == [
+            ("conv", True), ("conv", False), ("act",), ("conv", True),
+            ("conv", False), ("conv", False), ("act",),
+        ]
+
+        def layer(i, z):
+            k, b = weights[i]
+            z = conv2d_reference(k, z)
+            return z if b is None else z + b[:, None, None, None]
+
+        o0 = np.maximum(layer(0, x), 0.0)
+        o2 = layer(1, o0)
+        o4 = np.maximum(o2, 0.0) + o2
+        o6 = np.maximum(layer(2, o4), 0.0)
+        want = np.maximum(layer(4, layer(3, o6) + o6), 0.0)
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+        node = evaluate(spec, as_nodes(weights), ad.constant(x), ad)
+        assert node.value.tobytes() == out.tobytes()
+
+    def test_activation_with_its_own_source_is_not_fused(self):
+        # layer 2 reads layer 0, so the Conv before it (whose output
+        # nothing reads) must not apply it
+        relu = ActivationSpec("relu_bias", t=0.0)
+        spec = NetworkSpec(layers=(Conv(1, 1, 3), Conv(1, 1, 3), Activation(relu, source=0)))
+        rng = np.random.default_rng(16)
+        weights = random_weights(spec, rng)
+        x = rng.normal(size=(1, 1, 8, 8))
+        k, b = weights[0]
+        want = np.maximum(conv2d_reference(k, x) + b[:, None, None, None], 0.0)
+        np.testing.assert_allclose(Network(spec, weights).run(x), want, rtol=1e-12, atol=1e-12)
+        node = evaluate(spec, as_nodes(weights), ad.constant(x), ad)
+        np.testing.assert_allclose(node.value, want, rtol=1e-12, atol=1e-12)
 
 
 class TestPrAnalyze:
