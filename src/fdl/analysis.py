@@ -6,7 +6,8 @@ In one pass over the spec, :func:`ideal_instantiation` binds each
 encoder/decoder conv pair to ideal filters (sign duplicated impulse pairs
 when a rectifier sits between them, plain impulses otherwise) and no
 biases, neutralizes shrinkage and clipping thresholds, and drops identity
-shortcuts.  :func:`pr_analyze` then measures reconstruction on random
+shortcuts; each layer carries only the channels those filters can make
+nonzero.  :func:`pr_analyze` then measures reconstruction on random
 signed probes plus the two frequency extremes (a constant image and a
 unit checkerboard).
 
@@ -17,6 +18,7 @@ of trainable convolutions only; fixed resampling filter banks are free.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .network import (
     SkipAdd,
     validate_spec,
 )
-from .network import _main_input  # shared layer-graph helper
+from .network import _main_input, _resample_filters  # shared layer-graph helpers
 from .tensor import conv2d, identity_image, signed_impulse_bank, tensor_transpose
 
 __all__ = [
@@ -115,7 +117,7 @@ def _pair_convs(spec: NetworkSpec):
 
 def ideal_instantiation(spec: NetworkSpec) -> Network:
     """Bind ideal reconstruction filters to ``spec`` without its identity
-    shortcuts.
+    shortcuts, each conv at its live width.
 
     Residual additions re-inject a block's input at its output; they would
     let any network reconstruct trivially, so every residual skip (with a
@@ -123,10 +125,31 @@ def ideal_instantiation(spec: NetworkSpec) -> Network:
     a reference to a dropped layer goes to that layer's main input.  Each
     conv gets its impulse bank (a decoder the transpose of its encoder's)
     and no bias; each activation is neutralized.
+
+    An impulse bank routes each input channel to a prefix of its outputs,
+    and every other layer acts per channel and keeps 0 at 0, so only a
+    prefix of each layer's channels is ever nonzero: ``n`` times its live
+    inputs for an encoder (``n`` = 2 for a rectified pair, 1 otherwise),
+    the rows of its transposed bank for a decoder, times or divided by its
+    bands for a resampling layer.  The ideal network carries those live
+    channels only; the dropped ones would add exact zeros.  A spec whose
+    live prefixes do not close keeps its declared widths: a skip that joins
+    two unequal ones, a decoder fed other than its encoder's live output,
+    an up-sampling that splits one across its bands, or an output that is
+    not the input's channels.
     """
     pairs, modes = _pair_convs(spec)
+    return _ideal_walk(spec, pairs, modes, live=True) or _ideal_walk(spec, pairs, modes, live=False)
+
+
+def _ideal_walk(spec: NetworkSpec, pairs, modes, live) -> Network | None:
+    """The one pass of :func:`ideal_instantiation`, with each node its live
+    width (``live``) or its declared one; None when the live widths do not
+    close.  An encoder that its declared widths cannot host raises from the
+    declared walk only, so its message names the declared widths."""
     last = len(spec.layers) - 1
     new = {-1: -1}  # old layer index -> index of the layer that stands for it
+    width = {-1: spec.input_channels}  # channels of each new layer's output
     dropped = set()
     layers, banks, weights = [], {}, []
     for idx, layer in enumerate(spec.layers):
@@ -137,25 +160,41 @@ def ideal_instantiation(spec: NetworkSpec) -> Network:
             dropped.add(idx)
             continue
         src, new[idx] = new[src], len(layers)
+        channels = width[src]
+        changes = {"source": src}
         if isinstance(layer, Conv):
             if idx in modes:
                 signs = (1.0, -1.0) if modes[idx] == "pct" else (1.0,)
-                banks[idx] = signed_impulse_bank(layer.in_ch, signs, layer.out_ch, layer.n_f)
-                weights.append((banks[idx], None))
+                if live and layer.out_ch < len(signs) * layer.in_ch:
+                    return None
+                out_ch = len(signs) * channels if live else layer.out_ch
+                banks[idx] = bank = signed_impulse_bank(channels, signs, out_ch, layer.n_f)
             else:  # a decoder: _pair_convs pairs every contracting conv
-                weights.append((tensor_transpose(banks[pairs[idx]]), None))
-            layer = replace(layer, bias=False)
+                bank = tensor_transpose(banks[pairs[idx]])
+                if bank.shape[1] != channels:
+                    return None
+            weights.append((bank, None))
+            channels = bank.shape[0]
+            changes.update(out_ch=channels, in_ch=bank.shape[1], bias=False)
         elif isinstance(layer, Activation):
-            layer = replace(layer, spec=layer.spec.neutral())
-        elif isinstance(layer, SkipAdd):
-            layer = replace(layer, from_=new[layer.from_])
-        layers.append(replace(layer, source=src))
+            changes["spec"] = layer.spec.neutral()
+        elif isinstance(layer, Resample):
+            bands = _resample_filters()[layer.kind]["down"].shape[0]
+            if layer.direction == "down":
+                channels *= bands
+            elif channels % bands:
+                return None
+            else:
+                channels //= bands
+        else:  # SkipAdd
+            if width[new[layer.from_]] != channels:
+                return None
+            changes["from_"] = new[layer.from_]
+        width[new[idx]] = channels
+        layers.append(replace(layer, **changes))
+    if live and width[len(layers) - 1] != spec.input_channels:
+        return None
     return Network(replace(spec, layers=tuple(layers), residual=False), weights)
-
-
-def _checkerboard(n):
-    rr, cc = np.mgrid[0:n, 0:n]
-    return ((-1.0) ** (rr + cc))[None, None]
 
 
 # The probe protocol of :func:`pr_analyze`: the side of the probe images,
@@ -165,6 +204,25 @@ PR_GRID = 16
 PR_PROBES = 3
 PR_SEED = 0
 PR_TOL = 1e-8
+
+
+@lru_cache(maxsize=8)  # a spec's input channels come from its file
+def _probes(channels):
+    """The probes of :func:`pr_analyze` for ``channels`` input channels:
+    the :data:`PR_PROBES` seeded random images, a constant and a unit
+    checkerboard, as the columns of one ``(channels, 5, grid, grid)`` batch
+    and as one contiguous ``(channels, 1, grid, grid)`` image each.  Built
+    on first use and shared after it, so both are read-only."""
+    rng = np.random.default_rng(PR_SEED)
+    shape = (channels, 1, PR_GRID, PR_GRID)
+    rows, cols = np.mgrid[0:PR_GRID, 0:PR_GRID]
+    checkerboard = np.broadcast_to((-1.0) ** (rows + cols), shape)
+    batch = np.concatenate(
+        [rng.normal(size=shape) for _ in range(PR_PROBES)] + [np.ones(shape), checkerboard], axis=1
+    )
+    images = np.ascontiguousarray(batch.swapaxes(0, 1))[:, :, None]
+    batch.flags.writeable = images.flags.writeable = False
+    return batch, images
 
 
 def pr_analyze(spec: NetworkSpec) -> PRReport:
@@ -178,18 +236,15 @@ def pr_analyze(spec: NetworkSpec) -> PRReport:
     network runs once.
     """
     net = ideal_instantiation(spec)
-    rng = np.random.default_rng(PR_SEED)
-    shape = (spec.input_channels, 1, PR_GRID, PR_GRID)
-    probes = [rng.normal(size=shape) for _ in range(PR_PROBES)]
-    flat = np.ones(shape)
-    cb = np.broadcast_to(_checkerboard(PR_GRID), shape).copy()
-    out = net.run(np.concatenate(probes + [flat, cb], axis=1))
+    batch, probes = _probes(spec.input_channels)
+    out = net.run(batch)
     # one contiguous (channels, 1, grid, grid) output per probe
     outs = np.ascontiguousarray(out.swapaxes(0, 1))[:, :, None]
 
     max_err = 0.0
-    for y, out_y in zip(probes, outs):
+    for y, out_y in zip(probes[:PR_PROBES], outs):
         max_err = max(max_err, float(np.max(np.abs(out_y - y))))
+    flat, cb = probes[PR_PROBES:]
     gain_dc = float(np.sum(outs[PR_PROBES]) / np.sum(flat))
     gain_nyquist = float(np.vdot(outs[PR_PROBES + 1], cb) / np.vdot(cb, cb))
 

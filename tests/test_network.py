@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fdl import autodiff as ad
-from fdl import tensor
+from fdl import analysis, tensor
 from fdl.activations import ActivationSpec
 from fdl.analysis import (
     count_flops,
@@ -360,6 +360,100 @@ class TestPrAnalyze:
         assert all(bias is None for _, bias in net.weights)
         x = np.random.default_rng(8).normal(size=(1, 1, 8, 8))
         np.testing.assert_allclose(net.run(x), 2 * x, atol=1e-12)  # two reconstructing paths
+
+
+def report_hex(spec):
+    report = pr_analyze(spec)
+    floats = (report.gain_dc, report.gain_nyquist, report.max_recon_err)
+    return report.is_perfect, tuple(float.hex(v) for v in floats)
+
+
+class TestLiveWidths:
+    """The ideal network carries only the channels its impulse banks can
+    make nonzero."""
+
+    def test_wide_unet_runs_at_its_live_widths(self):
+        net = ideal_instantiation(build_unet(64, 128))
+        assert [k.shape[:2] for k, _ in net.weights] == [(2, 1), (1, 2), (4, 2), (2, 4), (1, 2)]
+        convs = [layer for layer in net.spec.layers if isinstance(layer, Conv)]
+        assert [(c.out_ch, c.in_ch) for c in convs] == [(2, 1), (1, 2), (4, 2), (2, 4), (1, 2)]
+
+    def test_skip_of_unequal_live_prefixes_keeps_declared_widths(self):
+        # layer 3 joins a rectified encoder's two live channels with a plain
+        # encoder's one, so no channel can be dropped
+        layers = (
+            Conv(2, 1), RELU, Conv(2, 1, source=-1), SkipAdd(from_=1),
+            Conv(1, 2), Conv(1, 2, source=1), SkipAdd(from_=4),
+        )
+        spec = NetworkSpec(layers=layers)
+        net = ideal_instantiation(spec)
+        assert [k.shape[:2] for k, _ in net.weights] == [(2, 1), (2, 1), (1, 2), (1, 2)]
+        x = np.random.default_rng(9).normal(size=(1, 1, 8, 8))
+        assert net.run(x).tobytes() == (x + (x + np.maximum(x, 0.0))).tobytes()
+        report = pr_analyze(spec)
+        assert not report.is_perfect
+        assert (report.gain_dc, report.gain_nyquist) == (3.0, 2.5)
+
+    @pytest.mark.parametrize(
+        "layers, verdict",
+        [
+            # one live channel of four cannot split into the four dwt_full bands
+            ((Conv(4, 1), Resample("up", "dwt_full"), Resample("down", "dwt_full"), Conv(1, 4)),
+             (True, 1.0, 1.0)),
+            # the decoder at layer 6 pairs with the encoder at layer 2 (two live
+            # channels) but reads the plain encoder at layer 5 (one)
+            ((Conv(4, 1), RELU, Conv(8, 4), Conv(4, 8), Conv(1, 4), Conv(8, 1),
+              Conv(4, 8), Conv(1, 4), Conv(1, 8, source=5), SkipAdd(from_=7)),
+             (False, 2.0, 2.0)),
+        ],
+        ids=["up-sampling-splits-a-prefix", "decoder-reads-another-prefix"],
+    )
+    def test_other_unclosed_prefixes_keep_declared_widths(self, layers, verdict):
+        spec = NetworkSpec(layers=layers)
+        net = ideal_instantiation(spec)
+        declared = [(c.out_ch, c.in_ch) for c in layers if isinstance(c, Conv)]
+        assert [k.shape[:2] for k, _ in net.weights] == declared
+        report = pr_analyze(spec)
+        assert (report.is_perfect, report.gain_dc, report.gain_nyquist) == pytest.approx(verdict)
+
+    def test_an_encoder_its_declared_widths_cannot_host_still_raises(self):
+        # the skip at layer 3 sends the walk to declared widths before the
+        # encoder at layer 4 that three channels cannot host
+        layers = (
+            Conv(2, 1), RELU, Conv(2, 1, source=-1), SkipAdd(from_=1),
+            Conv(3, 2), RELU, Conv(2, 3), Conv(1, 2), Conv(1, 2, source=1), SkipAdd(from_=8),
+        )
+        with pytest.raises(ConfigError, match="^3 output channels cannot host 2 signed"):
+            ideal_instantiation(NetworkSpec(layers=layers))
+
+    @pytest.mark.parametrize(
+        "narrow, wide",
+        [
+            (build_lwfsn(2), build_lwfsn(128)),
+            (build_rlwfsn(2, 5), build_rlwfsn(128, 5)),
+            (build_red(2, 4), build_red(64, 128)),
+            (build_unet(2, 4), build_unet(64, 128)),
+            (build_unet(2, 8, 5, residual=True), build_unet(32, 128, 5, residual=True)),
+            (build_toy_spec((2, 4, 8)), build_toy_spec((8, 16, 32))),
+        ],
+        ids=["lwfsn", "rlwfsn", "red", "unet", "unet-residual", "toy"],
+    )
+    def test_report_does_not_depend_on_the_declared_width(self, narrow, wide):
+        assert report_hex(narrow) == report_hex(wide)
+
+    def test_probes_are_one_read_only_batch_per_channel_count(self):
+        batch, images = analysis._probes(2)
+        assert analysis._probes(2)[0] is batch
+        assert batch.shape == (2, 5, 16, 16) and images.shape == (5, 2, 1, 16, 16)
+        assert not batch.flags.writeable and not images.flags.writeable
+        rng = np.random.default_rng(analysis.PR_SEED)
+        for column in range(analysis.PR_PROBES):
+            assert images[column].tobytes() == rng.normal(size=(2, 1, 16, 16)).tobytes()
+        assert np.all(images[3] == 1.0)
+        rows, cols = np.indices((16, 16))
+        assert np.all(images[4] == np.where((rows + cols) % 2, -1.0, 1.0))
+        for column in range(5):
+            assert np.array_equal(batch[:, column, None], images[column])
 
 
 class TestEquivalentFilter:
