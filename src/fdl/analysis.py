@@ -123,7 +123,8 @@ def ideal_instantiation(spec: NetworkSpec) -> Network:
     let any network reconstruct trivially, so every residual skip (with a
     rectifier glued to a final one) and the global wrapper are dropped, and
     a reference to a dropped layer goes to that layer's main input.  Each
-    conv gets its impulse bank (a decoder the transpose of its encoder's)
+    conv gets its impulse bank (a decoder the transpose of its encoder's),
+    1x1 whatever the spec's filter size since an impulse has no extent,
     and no bias; each activation is neutralized.
 
     An impulse bank routes each input channel to a prefix of its outputs,
@@ -168,14 +169,14 @@ def _ideal_walk(spec: NetworkSpec, pairs, modes, live) -> Network | None:
                 if live and layer.out_ch < len(signs) * layer.in_ch:
                     return None
                 out_ch = len(signs) * channels if live else layer.out_ch
-                banks[idx] = bank = signed_impulse_bank(channels, signs, out_ch, layer.n_f)
+                banks[idx] = bank = signed_impulse_bank(channels, signs, out_ch)
             else:  # a decoder: _pair_convs pairs every contracting conv
                 bank = tensor_transpose(banks[pairs[idx]])
                 if bank.shape[1] != channels:
                     return None
             weights.append((bank, None))
             channels = bank.shape[0]
-            changes.update(out_ch=channels, in_ch=bank.shape[1], bias=False)
+            changes.update(out_ch=channels, in_ch=bank.shape[1], n_f=1, bias=False)
         elif isinstance(layer, Activation):
             changes["spec"] = layer.spec.neutral()
         elif isinstance(layer, Resample):
@@ -233,9 +234,16 @@ def pr_analyze(spec: NetworkSpec) -> PRReport:
     network gains at DC (constant probe) and at the Nyquist frequency
     (checkerboard probe); the verdict is perfect when that error is below
     :data:`PR_TOL`.  The probes are the columns of one input, so the
-    network runs once.
+    network runs once.  A spec that decimates the probe grid below one
+    sample raises :class:`ConfigError`.
     """
     net = ideal_instantiation(spec)
+    depth = max([0] + [level for _, level in validate_spec(spec)])  # decimations
+    if PR_GRID % 2**depth:
+        raise ConfigError(
+            f"spec decimates {depth} times; the {PR_GRID}x{PR_GRID} probe grid "
+            f"allows at most {PR_GRID.bit_length() - 1}"
+        )
     batch, probes = _probes(spec.input_channels)
     out = net.run(batch)
     # one contiguous (channels, 1, grid, grid) output per probe

@@ -148,6 +148,8 @@ def validate_spec(spec: NetworkSpec) -> list:
     up-sampling).  A skip must join two equal pairs, and the graph output
     must be ``(input_channels, 0)``.
     """
+    if spec.input_channels < 1:
+        raise ConfigError(f"input_channels must be >= 1, got {capped_repr(spec.input_channels)}")
     nodes = []  # (channels, level) of each layer output
 
     def node_of(ref):

@@ -29,14 +29,17 @@ only where decimation keeps it, and :func:`bank_up` only from the samples
 that up-sampling does not zero, in both cases from the bank's nonzero
 taps alone.
 
+:func:`conv2d_adjoint` is :func:`conv2d` of the adjoint kernel, the
+kernel transposed over its channels and rotated by 180 degrees, so it
+takes every route of the forward conv below, strips included.
+
 A *pointwise* kernel, one whose nonzero entries all sit at its center
 tap, is a 1x1 channel mix whatever its size: :func:`conv2d` applies its
-``(out, in)`` center matrix to the flattened signal in one product, and
-:func:`conv2d_adjoint` the transpose, with no shift stack and no fold.
-The ideal impulse banks of reconstruction analysis are of this kind.
-Every other kernel takes the stack-or-fold route above, and so does the
-differentiable conv of :mod:`fdl.autodiff`: a zero tap still has a
-nonzero kernel gradient.
+``(out, in)`` center matrix to the flattened signal in one product, with
+no shift stack and no fold.  The ideal impulse banks of reconstruction
+analysis are of this kind.  Every other kernel takes the stack-or-fold
+route above, and so does the differentiable conv of :mod:`fdl.autodiff`:
+a zero tap still has a nonzero kernel gradient.
 
 :func:`conv2d` bounds its working set.  When the whole image's shift
 stack (expanding conv) or tap products (contracting conv) would exceed
@@ -60,8 +63,7 @@ conv's ``in * kv * kh``); it rounds the last ``N % 8`` columns of an
 its own way.  So a fold pads its product with zero columns to whole tiles,
 and a stacked conv's ``N`` is a multiple of 8 when the image width is;
 otherwise a few outputs may differ in the last bits.  The autodiff conv
-and :func:`conv2d_adjoint` keep the whole-image route: the kernel gradient
-needs the whole stack.
+keeps the whole-image route: the kernel gradient needs the whole stack.
 
 All functions are pure and operate on immutable inputs, so they are safe to
 call concurrently.
@@ -168,8 +170,8 @@ def _stack_rows(signal, kv, kh, rows, correlate=False):
     Layout is ``(signal rows, taps, cols, len(rows), W)`` with taps
     enumerated row-major over the kernel window, matching
     ``kernel.reshape(out, -1)``.  With ``correlate=True`` shifts run in the
-    opposite direction (used by the adjoint).  Each tap is one
-    :func:`_wrap_window` of the signal, with no padded copy of it.
+    opposite direction (the gradients of a contracting conv).  Each tap is
+    one :func:`_wrap_window` of the signal, with no padded copy of it.
     """
     sr, sc, _, w = signal.shape
     sign = -1 if correlate else 1
@@ -246,18 +248,17 @@ def _conv_rows(kernel, signal, rows):
 
 
 def _conv_grad_signal(kernel, grad, *, stack=None):
-    """Adjoint of ``conv2d`` in its signal argument.
+    """Gradient of ``conv2d`` in its signal argument.
 
-    A contracting conv correlates the narrow gradient: one shift stack of
-    ``grad`` (``ko * k^2`` rows; pass ``stack`` to reuse one) times the
-    transposed kernel.  An expanding conv forms ``kernel^T @ grad``,
-    ``kc * k^2`` rows, and folds it into ``kc`` channels.
+    A contracting conv correlates the narrow gradient: ``stack``, the
+    correlate shift stack of ``grad`` (``ko * k^2`` rows) that the kernel
+    gradient shares, times the transposed kernel.  An expanding conv forms
+    ``kernel^T @ grad``, ``kc * k^2`` rows, and folds it into ``kc``
+    channels; it takes no stack.
     """
     ko, kc, kv, kh = kernel.shape
     if _contracting(kernel.shape):
-        go, gc, h, w = grad.shape
-        if stack is None:
-            stack = _shift_stack(grad, kv, kh, correlate=True)
+        gc, h, w = grad.shape[1:]
         kmat = kernel.transpose(1, 0, 2, 3).reshape(kc, ko * kv * kh)
         out = kmat @ stack.reshape(ko * kv * kh, gc * h * w)
         return out.reshape(kc, gc, h, w)
@@ -292,13 +293,6 @@ def _pointwise(kernel):
     if taps[:, :center].any() or taps[:, center + 1 :].any():
         return None
     return taps[:, center].reshape(ko, kc)
-
-
-def _channel_mix(matrix, signal):
-    """A pointwise conv: the ``(out, in)`` matrix applied to the signal's
-    rows, columns and pixels flattened."""
-    sr, sc, h, w = signal.shape
-    return (matrix @ signal.reshape(sr, sc * h * w)).reshape(matrix.shape[0], sc, h, w)
 
 
 # Largest shift stack (expanding conv) or set of tap products (contracting
@@ -346,34 +340,28 @@ def _conv_strips(kernel, signal, rows):
     return out
 
 
-def _conv_operands(kernel, signal, axis):
-    """``(kernel, signal, mix)`` of a conv whose kernel ``axis`` (0 rows,
-    1 columns) meets the signal's rows; ``mix`` is :func:`_pointwise`'s
-    matrix of the kernel, or ``None``."""
-    kernel = as_tensor4(kernel, "kernel")
-    signal = as_tensor4(signal, "signal")
-    if kernel.shape[axis] != signal.shape[0]:
-        raise ShapeError(
-            f"channel mismatch: kernel {('rows', 'columns')[axis]} {kernel.shape[axis]} "
-            f"vs signal rows {signal.shape[0]}"
-        )
-    if kernel.shape[2] % 2 == 0 or kernel.shape[3] % 2 == 0:
-        raise ConfigError(f"kernel spatial dims must be odd, got {kernel.shape[2:]}")
-    return kernel, signal, _pointwise(kernel)
-
-
 def conv2d(kernel, signal) -> np.ndarray:
     """Tensor convolution of a kernel with a signal.
 
     Output row ``r`` is the sum over input channels ``c`` of the circular
     2-D convolution ``kernel[r, c] * signal[c]``; the column axis of the
     signal is carried through untouched.  Output spatial size equals the
-    signal's.  A large conv is computed in strips of rows
-    (:func:`_conv_strips`) with the same products and sums.
+    signal's.  A pointwise kernel is one channel mix; a large conv is
+    computed in strips of rows (:func:`_conv_strips`) with the same
+    products and sums.
     """
-    kernel, signal, mix = _conv_operands(kernel, signal, 1)
+    kernel = as_tensor4(kernel, "kernel")
+    signal = as_tensor4(signal, "signal")
+    if kernel.shape[1] != signal.shape[0]:
+        raise ShapeError(
+            f"channel mismatch: kernel columns {kernel.shape[1]} vs signal rows {signal.shape[0]}"
+        )
+    if kernel.shape[2] % 2 == 0 or kernel.shape[3] % 2 == 0:
+        raise ConfigError(f"kernel spatial dims must be odd, got {kernel.shape[2:]}")
+    mix = _pointwise(kernel)
     if mix is not None:
-        return _channel_mix(mix, signal)
+        sr, sc, h, w = signal.shape
+        return (mix @ signal.reshape(sr, sc * h * w)).reshape(mix.shape[0], sc, h, w)
     rows = _strip_rows(kernel.shape, signal.shape)
     if rows is not None:
         return _conv_strips(kernel, signal, rows)
@@ -382,16 +370,13 @@ def conv2d(kernel, signal) -> np.ndarray:
 
 
 def conv2d_adjoint(kernel, signal) -> np.ndarray:
-    """Exact adjoint of ``conv2d(kernel, .)``.
-
-    Satisfies ``<conv2d(k, x), y> == <x, conv2d_adjoint(k, y)>`` for all
-    ``x``, ``y``; equivalently, convolution with the channel-transposed and
-    spatially reversed kernel.
+    """Exact adjoint of ``conv2d(kernel, .)``: :func:`conv2d` of the
+    adjoint kernel, ``kernel`` transposed over its channels and rotated by
+    180 degrees, so ``<conv2d(k, x), y> == <x, conv2d_adjoint(k, y)>`` for
+    all ``x``, ``y``.  Errors name the adjoint kernel's shape.
     """
-    kernel, signal, mix = _conv_operands(kernel, signal, 0)
-    if mix is not None:
-        return _channel_mix(mix.T, signal)
-    return _conv_grad_signal(kernel, signal)
+    kernel = as_tensor4(kernel, "kernel")
+    return conv2d(kernel[:, :, ::-1, ::-1].swapaxes(0, 1), signal)
 
 
 def tensor_transpose(t) -> np.ndarray:

@@ -395,6 +395,8 @@ class TestAnalyzeAndFlops:
             ({"layers": [dict(enc, n_f="3"), relu, dec]}, "layer 0: n_f"),
             ({"layers": valid + [{"type": "skip_add", "from": "-1"}]}, "layer 3: skip reference"),
             ({"layers": valid, "input_channels": 1.5}, "input_channels must be an integer"),
+            ({"layers": [], "input_channels": -1}, "input_channels must be >= 1, got -1"),
+            ({"layers": [], "input_channels": 0}, "input_channels must be >= 1, got 0"),
             ({"layers": [enc, dict(relu, activation={"kind": "dog_shrink", "p": 2.9}), dec]},
              "layer 1: p"),
             ({"layers": [enc, dict(relu, activation={"kind": "relu_bias", "t": "0.5"}), dec]},
@@ -417,6 +419,39 @@ class TestAnalyzeAndFlops:
                 assert result.returncode == 3, (payload, command, result.stderr)
                 assert named in result.stderr
                 assert "Traceback" not in result.stderr
+
+    def test_too_deep_for_the_probe_grid_exit_3(self, tmp_path):
+        enc = {"type": "conv", "out_ch": 2, "in_ch": 1}
+        dec = {"type": "conv", "out_ch": 1, "in_ch": 2}
+        down = {"type": "resample", "direction": "down"}
+        up = {"type": "resample", "direction": "up"}
+
+        def analyze(depth):
+            path = tmp_path / f"deep{depth}.json"
+            path.write_text(json.dumps({"layers": [enc] + [down] * depth + [up] * depth + [dec]}))
+            return run_cli(["analyze-pr", str(path)], cwd=tmp_path)
+
+        four = analyze(4)
+        assert four.returncode == 0, four.stderr
+        assert json.loads(four.stdout)["is_perfect"] is False  # plain decimation drops samples
+        five = analyze(5)
+        assert five.returncode == 3, five.stderr
+        assert five.stderr == "fdl: spec decimates 5 times; the 16x16 probe grid allows at most 4\n"
+
+    def test_ideal_banks_ignore_the_filter_size(self, tmp_path):
+        """An impulse has no extent: a frame pair of 99999-tap filters gets
+        1x1 ideal banks (one 99999x99999 bank would take 74.5 GiB)."""
+        layers = [
+            {"type": "conv", "out_ch": 2, "in_ch": 1, "n_f": 99999},
+            {"type": "conv", "out_ch": 1, "in_ch": 2, "n_f": 99999},
+        ]
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"layers": layers}))
+        result = run_cli(["analyze-pr", str(wide)], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["is_perfect"] is True
+        assert (payload["gain_dc"], payload["gain_nyquist"], payload["max_recon_err"]) == (1.0, 1.0, 0.0)
 
     def test_skip_concat_is_not_a_layer_type(self, tmp_path):
         from fdl.errors import ConfigError

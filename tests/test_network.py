@@ -41,6 +41,7 @@ from fdl.network import (
 )
 
 from oracles import conv2d_reference, downsample_reference, upsample_reference
+from test_pr_golden import pool
 
 
 def bundled(name):
@@ -355,7 +356,7 @@ class TestPrAnalyze:
         ideal = net.spec.layers
         assert not net.spec.residual and len(ideal) == 7
         assert not any(isinstance(layer, SkipAdd) and layer.residual for layer in ideal)
-        assert ideal[3] == Conv(2, 1, 3, bias=False, source=2)
+        assert ideal[3] == Conv(2, 1, 1, bias=False, source=2)
         assert ideal[6] == SkipAdd(from_=2, source=5)
         assert all(bias is None for _, bias in net.weights)
         x = np.random.default_rng(8).normal(size=(1, 1, 8, 8))
@@ -366,6 +367,27 @@ def report_hex(spec):
     report = pr_analyze(spec)
     floats = (report.gain_dc, report.gain_nyquist, report.max_recon_err)
     return report.is_perfect, tuple(float.hex(v) for v in floats)
+
+
+def report_or_error(spec):
+    try:
+        return report_hex(spec)
+    except ConfigError as exc:
+        return str(exc)
+
+
+# The specs of TestLiveWidths whose live prefixes do not close: a skip of
+# unequal prefixes, an up-sampling that splits one, a decoder that reads
+# another, and an encoder that its declared widths cannot host.
+FALLBACKS = (
+    (Conv(2, 1), RELU, Conv(2, 1, source=-1), SkipAdd(from_=1),
+     Conv(1, 2), Conv(1, 2, source=1), SkipAdd(from_=4)),
+    (Conv(4, 1), Resample("up", "dwt_full"), Resample("down", "dwt_full"), Conv(1, 4)),
+    (Conv(4, 1), RELU, Conv(8, 4), Conv(4, 8), Conv(1, 4), Conv(8, 1),
+     Conv(4, 8), Conv(1, 4), Conv(1, 8, source=5), SkipAdd(from_=7)),
+    (Conv(2, 1), RELU, Conv(2, 1, source=-1), SkipAdd(from_=1),
+     Conv(3, 2), RELU, Conv(2, 3), Conv(1, 2), Conv(1, 2, source=1), SkipAdd(from_=8)),
+)
 
 
 class TestLiveWidths:
@@ -440,6 +462,23 @@ class TestLiveWidths:
     )
     def test_report_does_not_depend_on_the_declared_width(self, narrow, wide):
         assert report_hex(narrow) == report_hex(wide)
+
+    def test_live_widths_give_the_declared_widths_report(self, monkeypatch):
+        """Over the golden pool and the fall-back shapes above, the live
+        network reports what the declared one does, byte for byte, and
+        raises the same messages."""
+        specs = dict(pool())
+        specs.update((f"fall-back {i}", NetworkSpec(layers=layers)) for i, layers in enumerate(FALLBACKS))
+        live = {key: report_or_error(spec) for key, spec in specs.items()}
+        declared_walks = []
+
+        def declared(spec):
+            declared_walks.append(spec)
+            return analysis._ideal_walk(spec, *analysis._pair_convs(spec), live=False)
+
+        monkeypatch.setattr(analysis, "ideal_instantiation", declared)
+        assert {key: report_or_error(spec) for key, spec in specs.items()} == live
+        assert len(declared_walks) == len(specs) == 130
 
     def test_probes_are_one_read_only_batch_per_channel_count(self):
         batch, images = analysis._probes(2)

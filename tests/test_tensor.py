@@ -107,9 +107,67 @@ class TestAdjoint:
         k = rng.normal(size=(2, 1, 3, 3))
         y = rng.normal(size=(2, 1, 8, 8))
         flipped = tensor.tensor_transpose(k[:, :, ::-1, ::-1])
-        np.testing.assert_allclose(
-            tensor.conv2d_adjoint(k, y), tensor.conv2d(flipped, y), atol=1e-12
-        )
+        assert tensor.conv2d_adjoint(k, y).tobytes() == tensor.conv2d(flipped, y).tobytes()
+
+    @pytest.mark.parametrize("kind", ["expanding", "contracting", "pointwise", "wide"])
+    def test_matches_the_signal_gradient(self, kind):
+        """The adjoint, a forward conv of the adjoint kernel, agrees with
+        the training gradient's route (stack of the gradient for a
+        contracting conv, fold for an expanding one) to rounding."""
+        rng = np.random.default_rng(("expanding", "contracting", "pointwise", "wide").index(kind))
+        for _ in range(20):
+            narrow, wide = sorted(int(c) for c in rng.integers(1, 7, size=2))
+            contracting = kind == "contracting" or (kind == "wide" and rng.random() < 0.5)
+            ko, kc = (narrow, wide + 1) if contracting else (wide, narrow)
+            kv, kh = (int(v) for v in rng.choice([1, 3, 5], size=2))
+            if kind == "wide":  # taps that reach past the image's wrap
+                kv, kh = 7, 9
+            kernel = rng.normal(size=(ko, kc, kv, kh))
+            if kind == "pointwise":
+                center = kernel[:, :, kv // 2, kh // 2].copy()
+                kernel[:] = 0.0
+                kernel[:, :, kv // 2, kh // 2] = center
+            h, w = (2, 4) if kind == "wide" else 2 * rng.integers(1, 6, size=2)
+            y = rng.normal(size=(ko, int(rng.integers(1, 3)), h, w))
+            stack = tensor._shift_stack(y, kv, kh, correlate=True) if kc > ko else None
+            want = tensor._conv_grad_signal(kernel, y, stack=stack)
+            got = tensor.conv2d_adjoint(kernel, y)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("ko,kc", [(24, 12), (12, 24), (6, 1)])
+    def test_a_large_adjoint_takes_strips_bitwise(self, ko, kc, monkeypatch):
+        rng = np.random.default_rng((ko, kc, 13))
+        kernel = rng.normal(size=(ko, kc, 3, 3))
+        y = rng.normal(size=(ko, 1, 24, 32))
+        whole = tensor.conv2d_adjoint(kernel, y)
+        strips = []
+        conv_strips = tensor._conv_strips
+
+        def counted(kernel, signal, rows):
+            strips.append(rows)
+            return conv_strips(kernel, signal, rows)
+
+        monkeypatch.setattr(tensor, "_conv_strips", counted)
+        monkeypatch.setattr(tensor, "STRIP_BYTES", 1 << 14)
+        out = tensor.conv2d_adjoint(kernel, y)
+        assert len(strips) == 1 and strips[0] < 24
+        assert out.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("ko,kc", [(24, 12), (12, 24)])
+    def test_a_large_adjoint_holds_one_strip_at_a_time(self, ko, kc):
+        rng = np.random.default_rng((ko, kc, 14))
+        kernel = rng.normal(size=(ko, kc, 3, 3))
+        y = rng.normal(size=(ko, 1, 256, 256))
+        tracemalloc.start()
+        try:
+            out = tensor.conv2d_adjoint(kernel, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole image's 12-channel stack or tap products alone would be
+        # 12 * 9 * 256 * 256 * 8 = 56.6 MB or more
+        assert peak < out.nbytes + y.nbytes + 2 * tensor.STRIP_BYTES
 
 
 class TestTranspose:
@@ -522,7 +580,8 @@ class TestPointwiseProperties:
             assert np.max(np.abs(out - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
             lhs = np.vdot(out, y)
             assert abs(lhs - np.vdot(x, tensor.conv2d_adjoint(kernel, y))) < 1e-11 * max(1.0, abs(lhs))
-        assert calls["_conv_forward"] == 4 and calls["_conv_grad_signal"] == 4
+        # conv2d_adjoint is conv2d of the adjoint kernel, which keeps the off-center tap
+        assert calls["_conv_forward"] == 8 and calls["_conv_grad_signal"] == 0
 
 
 def dwt_stacks():
