@@ -132,12 +132,13 @@ class ActivationSpec:
         return ActivationSpec("soft_clip", t=np.inf)
 
 
-def relu_bias(z, t=0.0):
-    """Rectifier with threshold: ``(z - t)_+``."""
+def relu_bias(z, t=0.0, out=None):
+    """Rectifier with threshold: ``(z - t)_+``, written into ``out`` when
+    given (``out=z`` rectifies a float array in place)."""
     z = np.asarray(z, dtype=float)
-    if _is_zero(t):  # z - 0.0 is z bit for bit: skip that pass
-        return np.maximum(z, 0.0)
-    return np.maximum(z - _broadcast(t, z), 0.0)
+    if not _is_zero(t):  # z - 0.0 is z bit for bit: skip that pass
+        z = np.subtract(z, _broadcast(t, z), out=out)
+    return np.maximum(z, 0.0, out=out)
 
 
 def soft_shrink(z, t):

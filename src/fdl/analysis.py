@@ -17,6 +17,7 @@ of trainable convolutions only; fixed resampling filter banks are free.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
@@ -213,7 +214,16 @@ def _probes(channels):
     the :data:`PR_PROBES` seeded random images, a constant and a unit
     checkerboard, as the columns of one ``(channels, 5, grid, grid)`` batch
     and as one contiguous ``(channels, 1, grid, grid)`` image each.  Built
-    on first use and shared after it, so both are read-only."""
+    on first use and shared after it, so both are read-only.  A batch
+    larger than the host's physical memory raises :class:`ConfigError`
+    before anything is allocated."""
+    batch_bytes = channels * (PR_PROBES + 2) * PR_GRID**2 * np.dtype(float).itemsize
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if batch_bytes > physical:
+        raise ConfigError(
+            f"input_channels {channels} needs a {batch_bytes / 2**30:.1f} GiB probe batch, "
+            f"more than the {physical / 2**30:.1f} GiB of physical memory"
+        )
     rng = np.random.default_rng(PR_SEED)
     shape = (channels, 1, PR_GRID, PR_GRID)
     rows, cols = np.mgrid[0:PR_GRID, 0:PR_GRID]

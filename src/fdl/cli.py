@@ -259,7 +259,7 @@ def _cmd_denoise(args):
     from fdl.activations import ActivationSpec
     from fdl.errors import ConfigError
     from fdl.framelets import denoise_framelet, framelet_forward, haar_dwt, map_thresholds
-    from fdl.lowrank import lowrank_approx, lowrank_denoise_demo, svd
+    from fdl.lowrank import lowrank_denoise_demo, lowrank_project
     from fdl.metrics import estimate_sigma_mad, snr_db
     from fdl.pnm import read_image
     from fdl.tensor import as_image
@@ -312,9 +312,9 @@ def _cmd_denoise(args):
             }
             images = report.files()
         else:
-            factors = svd(y[0, 0])
-            out = lowrank_approx(factors, ranks[0])[None, None]
-            params.update(rank=ranks[0], n_sv=factors.n_sv)
+            (recon,) = lowrank_project(y[0, 0], ranks)
+            out = recon[None, None]
+            params.update(rank=ranks[0], n_sv=min(y.shape[2:]))
     else:  # model
         if not args.checkpoint:
             raise ConfigError("model method needs --checkpoint")

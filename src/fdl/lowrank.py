@@ -15,6 +15,7 @@ __all__ = [
     "LowRankDemoReport",
     "svd",
     "lowrank_approx",
+    "lowrank_project",
     "lowrank_denoise_demo",
 ]
 
@@ -37,13 +38,10 @@ def svd(y) -> SVDFactors:
 
     Backed by LAPACK through numpy; the result is made deterministic by
     forcing the first nonzero component of every left singular vector to
-    be positive.
+    be positive.  No denoise route calls it: they use
+    :func:`lowrank_project`, which forms no singular vector it discards.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2:
-        raise ConfigError(f"expected a matrix, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise NumericError("matrix contains NaN or Inf")
+    y = _as_finite_matrix(y)
     u, s, vh = np.linalg.svd(y, full_matrices=False)
     v = vh.T.copy()
     significant = np.abs(u) > 1e-12 * max(1.0, float(np.max(np.abs(u))))
@@ -55,13 +53,52 @@ def svd(y) -> SVDFactors:
     return SVDFactors(u=u, v=v, sigma=s)
 
 
+def _as_finite_matrix(y):
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 2:
+        raise ConfigError(f"expected a matrix, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise NumericError("matrix contains NaN or Inf")
+    return y
+
+
+def _check_rank(n_lr, n_sv):
+    if not 1 <= n_lr <= n_sv:
+        raise ConfigError(f"rank must be in [1, {n_sv}], got {n_lr}")
+
+
 def lowrank_approx(factors: SVDFactors, n_lr: int) -> np.ndarray:
-    """Reconstruction from the ``n_lr`` largest singular components."""
-    if not 1 <= n_lr <= factors.n_sv:
-        raise ConfigError(f"rank must be in [1, {factors.n_sv}], got {n_lr}")
+    """Reconstruction from the ``n_lr`` largest singular components.  The
+    denoise routes compute it with :func:`lowrank_project` instead."""
+    _check_rank(n_lr, factors.n_sv)
     u = factors.u[:, :n_lr]
     v = factors.v[:, :n_lr]
     return (u * factors.sigma[:n_lr]) @ v.T
+
+
+def lowrank_project(y, ranks) -> tuple:
+    """Rank-r reconstructions of matrix ``y``, one per ``r`` in ``ranks``.
+
+    One ``eigh`` of the smaller Gram matrix gives the top-r singular
+    subspace: with ``q`` the eigenvectors of its ``r`` largest eigenvalues,
+    the result is ``(y @ q) @ q.T`` from ``y.T @ y`` when ``y`` has at least
+    as many rows as columns, else ``q @ (q.T @ y)`` from ``y @ y.T``.  It is
+    ``y`` times an exact orthogonal projector, and equals
+    ``lowrank_approx(svd(y), r)`` to rounding wherever that is unique (the
+    ``r``-th and ``r+1``-th singular values differ).
+    """
+    y = _as_finite_matrix(y)
+    ranks = tuple(int(r) for r in ranks)
+    n_sv = min(y.shape)
+    for r in ranks:
+        _check_rank(r, n_sv)
+    tall = y.shape[0] >= y.shape[1]
+    _, q = np.linalg.eigh(y.T @ y if tall else y @ y.T)  # eigenvalues ascend
+    recons = []
+    for r in ranks:
+        top = q[:, n_sv - r :]
+        recons.append((y @ top) @ top.T if tall else top @ (top.T @ y))
+    return tuple(recons)
 
 
 @dataclass(frozen=True)
@@ -97,10 +134,8 @@ def lowrank_denoise_demo(x, sigma, ranks, seed=0) -> LowRankDemoReport:
     x = as_image(x)
     ranks = tuple(int(r) for r in ranks)
     noisy = add_noise(x, NoiseModel(sigma_eta=sigma, seed=seed))
-    clean_f = svd(x[0, 0])
-    noisy_f = svd(noisy[0, 0])
-    clean_recons = tuple(lowrank_approx(clean_f, r) for r in ranks)
-    noisy_recons = tuple(lowrank_approx(noisy_f, r) for r in ranks)
+    clean_recons = lowrank_project(x[0, 0], ranks)
+    noisy_recons = lowrank_project(noisy[0, 0], ranks)
     as4 = lambda m: m[None, None]
     return LowRankDemoReport(
         ranks=ranks,

@@ -33,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .activations import DOG_KINDS, ActivationSpec, apply_activation
+from .activations import DOG_KINDS, ActivationSpec, apply_activation, relu_bias
 from .errors import ConfigError, ShapeError, capped_repr, is_kind
 from .framelets import haar_dwt
 from .tensor import as_tensor4, bank_down, bank_up, conv2d
@@ -451,10 +451,13 @@ def spec_from_json(payload: dict) -> NetworkSpec:
 
 def _conv(kernel, x, bias=None, act=None):
     """``conv2d``, then the bias added in place into its fresh output, then
-    the activation."""
+    the activation: a rectifier in place too, so the conv holds its input
+    and one output; another kind returns a new array."""
     out = conv2d(kernel, x)
     if bias is not None:
         out += bias[:, None, None, None]
+    if act is not None and act.kind == "relu_bias":
+        return relu_bias(out, act.t, out=out)
     return out if act is None else apply_activation(act, out)
 
 

@@ -56,13 +56,16 @@ sample is then formed from one column of a matrix product (stacked conv)
 or from one column per tap (fold), so the convs are bitwise
 shift-equivariant, and a strip gives the whole image's bytes, wherever the
 BLAS computes each column of a product independently of the product's
-width.  OpenBLAS 0.3.31 (Haswell kernels) does so for the columns of whole
-8-column tiles, when the inner dimension is at most 384 (an expanding
-conv's ``in * kv * kh``); it rounds the last ``N % 8`` columns of an
-``N``-column product, or a small product with a deeper inner dimension,
-its own way.  So a fold pads its product with zero columns to whole tiles,
-and a stacked conv's ``N`` is a multiple of 8 when the image width is;
-otherwise a few outputs may differ in the last bits.  The autodiff conv
+width.  The column condition: a column of a whole 8-column tile is
+computed the same way in any product whose inner dimension is at most 384
+(an expanding conv's ``in * kv * kh``), while the last ``N % 8`` columns
+of an ``N``-column product, or a small product with a deeper inner
+dimension, may be rounded another way.  So a fold pads its product with
+zero columns to whole tiles, and a stacked conv's ``N`` is a multiple of 8
+when the image width is; otherwise a few outputs may differ in the last
+bits.  The bitwise strip and shift tests pass with numpy's bundled
+OpenBLAS 0.3.31 on its Katmai, Nehalem, Sandybridge, Haswell and SkylakeX
+kernels (chosen through ``OPENBLAS_CORETYPE``).  The autodiff conv
 keeps the whole-image route: the kernel gradient needs the whole stack.
 
 All functions are pure and operate on immutable inputs, so they are safe to

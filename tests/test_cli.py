@@ -411,10 +411,17 @@ class TestAnalyzeAndFlops:
             ({"layers": [enc, dict(relu, activation=infinite_let), dec]},
              "layer 1: let weights must sum to 1, got nan"),
         ]
-        for i, (payload, named) in enumerate(cases):
+        both = (["analyze-pr"], ["flops", "--rows", "16", "--cols", "16"])
+        # only analyze-pr draws a probe batch; this one, 954 GiB, exceeds the
+        # physical memory of any host the suite runs on
+        huge = {"layers": [], "input_channels": 100_000_000}
+        cases = [(payload, named, both) for payload, named in cases] + [
+            (huge, "input_channels 100000000 needs a 953.7 GiB probe batch", both[:1]),
+        ]
+        for i, (payload, named, commands) in enumerate(cases):
             bad = tmp_path / f"bad{i}.json"
             bad.write_text(json.dumps(payload))
-            for command in (["analyze-pr"], ["flops", "--rows", "16", "--cols", "16"]):
+            for command in commands:
                 result = run_cli(command + [str(bad)], cwd=tmp_path)
                 assert result.returncode == 3, (payload, command, result.stderr)
                 assert named in result.stderr

@@ -4,6 +4,7 @@ import itertools
 import json
 import pathlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,21 @@ class TestToyModel:
         monkeypatch.setattr(tensor, "STRIP_BYTES", 1 << 40)
         assert model.predict(y).tobytes() == tiled.tobytes()
         assert len(strips) == 6
+
+    def test_predict_holds_one_conv_input_and_output_at_a_time(self):
+        # At 256x256 the widest conv, 12 -> 24 channels, holds its input
+        # (6.3 MB) and output (12.6 MB) plus up to two strips' budgets
+        # (8.4 MB): 27.3 MB, 10% above the 24.7 MB measured.  A rectifier
+        # that returns a new array adds a second 24-channel array (31.5 MB).
+        model, _ = self.perturbed("independent")
+        y = np.random.default_rng(7).uniform(size=(1, 1, 256, 256))
+        tracemalloc.start()
+        try:
+            model.predict(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (12 + 24) * 8 * y.size + 2 * tensor.STRIP_BYTES
 
     def test_bias_surgery_is_forward_with_those_biases(self):
         model, y = self.perturbed("shared_enc_dec")

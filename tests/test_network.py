@@ -9,7 +9,7 @@ import pytest
 
 from fdl import autodiff as ad
 from fdl import analysis, tensor
-from fdl.activations import ActivationSpec
+from fdl.activations import ACTIVATION_KINDS, ActivationSpec, apply_activation
 from fdl.analysis import (
     count_flops,
     equivalent_filter,
@@ -281,6 +281,24 @@ class TestConvActivationFusion:
         np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
         node = evaluate(spec, as_nodes(weights), ad.constant(x), ad)
         assert node.value.tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    def test_numpy_conv_gives_the_activation_bytes_of_every_kind(self, kind):
+        # the rectifier works in place in the conv's output; every kind
+        # must give the bytes of the activation applied to a new array
+        rng = np.random.default_rng(17)
+        kernel = rng.normal(size=(3, 2, 3, 3))
+        bias = rng.normal(size=3)
+        x = rng.normal(size=(2, 1, 8, 8))
+        members = ((0.5, ActivationSpec("soft_shrink", t=0.2)), (0.5, ActivationSpec("garrote", t=0.4)))
+        for t in (0.0, 0.3, (0.1, 0.0, 0.5)):
+            act = ActivationSpec(kind, t=t, members=members if kind == "let" else ())
+            for b in (None, bias):
+                want = tensor.conv2d(kernel, x)
+                if b is not None:
+                    want = want + b[:, None, None, None]
+                want = apply_activation(act, want)
+                assert NUMPY_OPS.conv(kernel, x, b, act).tobytes() == want.tobytes()
 
     def test_activation_with_its_own_source_is_not_fused(self):
         # layer 2 reads layer 0, so the Conv before it (whose output
