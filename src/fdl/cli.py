@@ -11,7 +11,8 @@ writes; :func:`main` alone writes the run directory, then prints the shown
 value as JSON on stdout.
 
 Exit codes: 0 success, 2 unreadable input or unwritable run directory,
-3 bad parameters or config, 4 numeric failure.
+3 bad parameters or config, 4 numeric failure or an allocation that
+failed (``MemoryError``).
 
 BLAS thread pinning must happen before numpy is first imported, which is
 why this module defers all package imports into the command handlers.
@@ -418,6 +419,9 @@ def main(argv=None) -> int:
     except (_IoError, FileNotFoundError) as exc:
         print(f"fdl: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # numpy's "Unable to allocate ..." included
+        print(f"fdl: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_NUMERIC
     except Exception as exc:  # map package errors without importing them eagerly
         from fdl.errors import ConfigError, NumericError, ShapeError
 

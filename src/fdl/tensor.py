@@ -45,9 +45,29 @@ a zero tap still has a nonzero kernel gradient.
 stack (expanding conv) or tap products (contracting conv) would exceed
 :data:`STRIP_BYTES`, it computes the output in strips of rows.  A strip
 forms its own output rows only, from the windows of the input's periodic
-extension that their taps read, so a conv holds one strip's stack at a
-time instead of the image's (56 MB for a 12 -> 24 channel 3x3 conv at
-256x256).
+extension that their taps read, and writes them into the output, so a
+conv holds a strip's stack instead of the image's (56 MB for a 12 -> 24
+channel 3x3 conv at 256x256).
+
+The strips of a conv run on a pool of :data:`STRIP_THREADS` threads: two
+when the process may run on two or more CPUs, none on one CPU, where the
+caller's thread runs them in row order.  numpy releases the GIL in a
+strip's matrix product, copies and adds, and each strip writes only its
+own output rows, so the output bytes do not depend on the thread count.
+The memory contract: a conv holds its input, its output and at most two
+strips, each within :data:`STRIP_BYTES`.  A contracting strip counts its
+wrap-padded input and its accumulator in that budget beside its tap
+products; a product of an expanding strip over a one-column signal goes
+straight into the output rows.  The pool starts its threads on the first
+conv that takes strips, so a process that never takes strips never
+starts them.  A strip never queues work on the pool, where two threads
+waiting on their own strips would deadlock, and it calls only
+:func:`_conv_rows` and the stack and fold under it: never
+:func:`conv2d`, :func:`_conv_forward` or :func:`_shift_stack`, which a
+profiler may wrap assuming one thread (the bench's tracer does).  A
+forked child drops the parent's pool, whose threads it does not have,
+and starts its own on first use, so a process pool's workers may call
+:func:`conv2d`.
 
 Every output sample sums its taps in tap order, at the image's wrap as
 anywhere else: a fold forms its tap products on the signal wrap-padded by
@@ -73,6 +93,9 @@ call concurrently.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -184,11 +207,12 @@ def _stack_rows(signal, kv, kh, rows, correlate=False):
     return stack
 
 
-def _fold_products(kmat, signal, kv, kh, correlate=False, rows=None):
+def _fold_products(kmat, signal, kv, kh, correlate=False, rows=None, out=None):
     """Fold (col2im) of the per-tap products ``kmat @ signal``: the adjoint
     of :func:`_shift_stack`, applied to them, so each tap's product plane
     is shifted back and summed into ``(out, cols, len(rows), W)``.  Only
-    image rows ``rows`` (a ``range``, default all) are formed.
+    image rows ``rows`` (a ``range``, default all) are formed; given
+    ``out``, a whole-image array, they are written into its rows ``rows``.
 
     ``kmat`` holds one block of ``out`` rows per tap, taps in stack order.
     The product is taken on the window of the signal's periodic extension
@@ -208,6 +232,7 @@ def _fold_products(kmat, signal, kv, kh, correlate=False, rows=None):
     padded[:, n:] = 0.0
     _wrap_window(padded[:, :n].reshape(sr, sc, pv, ph), signal, rows.start - cv, -ch)
     products = kmat @ padded
+    del padded  # before the accumulator is allocated
     ko = products.shape[0] // (kv * kh)
     first = cv * ph + ch  # flat position of output sample (0, 0)
     size = n - 2 * first  # up to the last output sample of the last signal column
@@ -216,7 +241,11 @@ def _fold_products(kmat, signal, kv, kh, correlate=False, rows=None):
     for i, (du, dv) in enumerate(_offsets(kv, kh)):
         start = first + sign * (du * ph + dv)
         acc[:, :size] += products[i * ko : (i + 1) * ko, start : start + size]
-    return np.ascontiguousarray(acc.reshape(ko, sc, pv, ph)[:, :, : len(rows), :w])
+    planes = acc.reshape(ko, sc, pv, ph)[:, :, : len(rows), :w]
+    if out is None:
+        return np.ascontiguousarray(planes)
+    out[:, :, rows.start : rows.stop] = planes
+    return out
 
 
 def _contracting(kernel_shape):
@@ -231,23 +260,34 @@ def _conv_forward(kernel, signal):
     return _conv_rows(kernel, signal, range(signal.shape[2]))
 
 
-def _conv_rows(kernel, signal, rows):
+def _conv_rows(kernel, signal, rows, out=None):
     """Rows ``rows`` (a ``range``) of the circular convolution, and their
-    shift stack of the input, or ``None`` for a contracting conv.
+    shift stack of the input, or ``None`` for a contracting conv.  Given
+    ``out``, a whole-image output array, the rows are written into it and
+    ``out`` is returned.
 
     An expanding (or equal) conv stacks its input, ``kc * k^2`` rows, and
-    applies the kernel in one matrix product.  A contracting conv instead
-    forms the per-tap products ``kernel @ x``, ``ko * k^2`` rows, and folds
-    them into ``ko`` channels, so the wide input is never stacked.
+    applies the kernel in one matrix product; for a one-column signal the
+    product is written straight into the output rows.  A contracting conv
+    instead forms the per-tap products ``kernel @ x``, ``ko * k^2`` rows,
+    and folds them into ``ko`` channels, so the wide input is never
+    stacked.
     """
     ko, kc, kv, kh = kernel.shape
     if _contracting(kernel.shape):
         kmat = kernel.transpose(2, 3, 0, 1).reshape(kv * kh * ko, kc)
-        return _fold_products(kmat, signal, kv, kh, correlate=True, rows=rows), None
+        return _fold_products(kmat, signal, kv, kh, correlate=True, rows=rows, out=out), None
     sr, sc, _, w = signal.shape
     stack = _stack_rows(signal, kv, kh, rows)
-    out = kernel.reshape(ko, kc * kv * kh) @ stack.reshape(sr * kv * kh, sc * len(rows) * w)
-    return out.reshape(ko, sc, len(rows), w), stack
+    kmat = kernel.reshape(ko, kc * kv * kh)
+    smat = stack.reshape(sr * kv * kh, sc * len(rows) * w)
+    if out is None:
+        return (kmat @ smat).reshape(ko, sc, len(rows), w), stack
+    if sc == 1:
+        np.matmul(kmat, smat, out=out.reshape(ko, -1)[:, rows.start * w : rows.stop * w])
+    else:
+        out[:, :, rows.start : rows.stop] = (kmat @ smat).reshape(ko, sc, len(rows), w)
+    return out, stack
 
 
 def _conv_grad_signal(kernel, grad, *, stack=None):
@@ -302,6 +342,16 @@ def _pointwise(kernel):
 # conv) that conv2d forms at once; a larger one is formed strip by strip.
 STRIP_BYTES = 4 << 20
 
+# Strips of one conv in flight at once: two on a host that gives this
+# process two or more CPUs, run on the strip pool; one, on the caller's
+# thread, otherwise.
+STRIP_THREADS = min(
+    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+_strip_jobs = None  # job queue of the strip pool's threads, started on first use
+_strip_lock = threading.Lock()
+
 
 def _strip_rows(kernel_shape, signal_shape):
     """Rows per strip of :func:`conv2d`, or ``None`` when the whole image's
@@ -311,18 +361,88 @@ def _strip_rows(kernel_shape, signal_shape):
     (its input when expanding, its output when contracting) over at most
     ``R + 2 * (kv // 2)`` rows of ``W + 2 * (kh // 2)`` columns: a
     contracting strip forms tap products over the kernel's reach around
-    its rows, an expanding one stacks its own rows only.  All strips but
-    the last have the same height, so that successive strips allocate
-    arrays of one size.
+    its rows, an expanding one stacks its own rows only.  A contracting
+    strip also holds its wrap-padded input and its accumulator over those
+    rows, so they count against its budget too; a fold's bytes do not
+    depend on its height, an expanding strip's may (module docstring), so
+    only the fold pays for the two-strip contract with shorter strips.
+    All strips but the last have the same height, so that successive
+    strips allocate arrays of one size.
     """
     ko, kc, kv, kh = kernel_shape
     sc, h, w = signal_shape[1:]
     pad = 2 * (kv // 2)
-    row_bytes = min(ko, kc) * kv * kh * sc * (w + 2 * (kh // 2)) * 8
-    if row_bytes * (h + pad) <= STRIP_BYTES:
+    plane_row = sc * (w + 2 * (kh // 2)) * 8
+    if min(ko, kc) * kv * kh * plane_row * (h + pad) <= STRIP_BYTES:
         return None
-    strips = -(-h // max(1, STRIP_BYTES // row_bytes - pad))
+    planes = ko * kv * kh + kc + ko if _contracting(kernel_shape) else kc * kv * kh
+    strips = -(-h // max(1, STRIP_BYTES // (planes * plane_row) - pad))
     return -(-h // strips)
+
+
+def _strip_pool():
+    """The job queue of the strip pool, whose :data:`STRIP_THREADS`
+    threads are started on first use."""
+    global _strip_jobs
+    with _strip_lock:
+        if _strip_jobs is None:
+            from queue import SimpleQueue
+
+            _strip_jobs = SimpleQueue()
+            for _ in range(STRIP_THREADS):
+                threading.Thread(target=_serve, args=(_strip_jobs,), name="fdl-strip", daemon=True).start()
+        return _strip_jobs
+
+
+def _serve(jobs):
+    while True:
+        jobs.get()()
+
+
+def _forget_strip_pool():
+    """In a forked child: the parent's pool threads do not exist there."""
+    global _strip_jobs, _strip_lock
+    _strip_jobs, _strip_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_strip_pool)
+
+
+def _run_strips(strip, starts):
+    """``strip(r0)`` for every ``r0`` of ``starts``, at most
+    :data:`STRIP_THREADS` at a time.
+
+    Each pool thread takes the next start until none is left, so a conv
+    queues one job per thread.  After a strip's error no further strip
+    starts, and the error reaches the caller once the strips already
+    running have finished.
+    """
+    if STRIP_THREADS < 2 or len(starts) < 2:
+        for r0 in starts:
+            strip(r0)
+        return
+    todo = iter(starts)  # shared by the threads; taking a start holds the GIL
+    errors = []
+    finished = threading.Semaphore(0)
+
+    def work():
+        try:
+            for r0 in todo:
+                strip(r0)
+        except BaseException as exc:  # re-raised by the caller
+            errors.append(exc)
+            for _ in todo:
+                pass
+        finally:
+            finished.release()
+
+    jobs = _strip_pool()
+    for _ in range(STRIP_THREADS):
+        jobs.put(work)
+    for _ in range(STRIP_THREADS):
+        finished.acquire()
+    if errors:
+        raise errors[0]
 
 
 def _conv_strips(kernel, signal, rows):
@@ -330,16 +450,19 @@ def _conv_strips(kernel, signal, rows):
     the whole-image call's products and sums (module docstring).
 
     Each strip forms its own output rows alone, from the windows of the
-    input's periodic extension that its taps read, so every output row is
-    formed once.
+    input's periodic extension that its taps read, and writes them into
+    the output, so every output row is formed once and the strips may run
+    in any order (:func:`_run_strips`).
     """
     ko = kernel.shape[0]
     sc, h, w = signal.shape[1:]
     out = np.empty((ko, sc, h, w))
-    for r0 in range(0, h, rows):
-        r1 = min(r0 + rows, h)
-        # the strip's stack or products are dropped here, before the next are formed
-        out[:, :, r0:r1] = _conv_rows(kernel, signal, range(r0, r1))[0]
+
+    def strip(r0):
+        # the strip's stack or products are dropped on return
+        _conv_rows(kernel, signal, range(r0, min(r0 + rows, h)), out)
+
+    _run_strips(strip, range(0, h, rows))
     return out
 
 

@@ -186,10 +186,11 @@ class ToyModel:
         the identity holds bit for bit (barring underflow and overflow);
         for other ``s`` it holds to rounding.
 
-        Its convs run in row strips (:func:`fdl.tensor.conv2d`), so the
-        memory it needs is set by the activations, about 0.4 KB per pixel:
-        in a fresh process, peak RSS rose by 30 MB for a 256x256 image and
-        by 103 MB for a 512x512 one.
+        Its convs run in row strips (:func:`fdl.tensor.conv2d`), two at a
+        time, so the memory it needs is set by the activations: traced
+        peaks of 26.7 MB at 256x256 and 83.3 MB at 512x512 (407 and 318
+        bytes per pixel), and in a fresh process peak RSS rose by 27-29 MB
+        and 86 MB.
         """
 
         def bias(b):

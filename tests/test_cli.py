@@ -131,6 +131,39 @@ class TestThreadPinning:
         assert result.stdout == "False\n"
 
 
+def numpy_memory_error():
+    """The error numpy raises when an allocation fails, made without one."""
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy 1.x
+        from numpy.core._exceptions import _ArrayMemoryError
+    return _ArrayMemoryError((1 << 30,), np.dtype(np.float64))
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "error,line",
+        [
+            (numpy_memory_error, "Unable to allocate 8.00 GiB for an array with shape (1073741824,) "
+             "and data type float64"),
+            (MemoryError, "allocation failed"),
+        ],
+    )
+    def test_memory_error_exits_4_with_one_line(self, tmp_path, monkeypatch, capsys, error, line):
+        from fdl import cli
+
+        def fails(args):
+            raise error()
+
+        monkeypatch.setitem(cli._HANDLERS, "denoise", fails)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["denoise", "noisy.pgm", "--out", "out"]) == cli.EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.err == f"fdl: out of memory: {line}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestDenoiseCommand:
     def test_wavelet_zero_threshold_is_identity(self, workdir):
         result = run_cli(

@@ -1,5 +1,8 @@
 """Tensor arithmetic: convolution, transposition, resampling."""
 
+import hashlib
+import multiprocessing
+import threading
 import tracemalloc
 
 import numpy as np
@@ -413,6 +416,7 @@ class TestStripRows:
 
     @pytest.mark.parametrize("ko,kc", [(24, 12), (12, 24)])
     def test_strips_form_each_output_row_once(self, ko, kc, monkeypatch):
+        monkeypatch.setattr(tensor, "STRIP_THREADS", 1)  # strips in row order
         formed = []  # the output rows each strip's stack or fold formed
         stack_rows, fold_products = tensor._stack_rows, tensor._fold_products
 
@@ -450,11 +454,158 @@ class TestStripRows:
                 assert 1 <= rows < h
                 assert rows == 1 or held * (rows + 2 * (kv // 2)) <= tensor.STRIP_BYTES
 
+    @pytest.mark.parametrize("ko,kc", [(24, 12), (12, 24)])
+    def test_two_threads_form_each_output_row_once(self, ko, kc, monkeypatch):
+        monkeypatch.setattr(tensor, "STRIP_THREADS", 2)
+        formed, threads = [], set()
+        stack_rows, fold_products = tensor._stack_rows, tensor._fold_products
+
+        def stacked(signal, kv, kh, rows, correlate=False):
+            formed.append(rows)
+            threads.add(threading.get_ident())
+            return stack_rows(signal, kv, kh, rows, correlate)
+
+        def folded(*args, rows=None, **kwargs):
+            formed.append(rows)
+            threads.add(threading.get_ident())
+            return fold_products(*args, rows=rows, **kwargs)
+
+        monkeypatch.setattr(tensor, "_stack_rows", stacked)
+        monkeypatch.setattr(tensor, "_fold_products", folded)
+        rng = np.random.default_rng((ko, kc, 14))
+        kernel = rng.normal(size=(ko, kc, 3, 3))
+        x = rng.normal(size=(kc, 1, 256, 256))
+        out = tensor.conv2d(kernel, x)
+        assert len(formed) > 1  # the conv took strips
+        assert sorted(r for span in formed for r in span) == list(range(256))
+        assert threading.get_ident() not in threads  # on the pool's threads
+        whole, _ = tensor._conv_forward(kernel, x)
+        assert out.tobytes() == whole.tobytes()
+
+    def test_a_fold_strip_holds_its_input_and_accumulator_in_the_budget(self):
+        # two strips in flight, each with its wrap-padded input, its tap
+        # products and its accumulator, stay within two budgets
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            kc = int(rng.integers(2, 33))
+            ko = int(rng.integers(1, kc))
+            kv, kh = (int(v) for v in rng.choice([1, 3, 5, 7], size=2))
+            sc = int(rng.integers(1, 3))
+            h, w = (int(v) for v in rng.integers(8, 1025, size=2))
+            rows = tensor._strip_rows((ko, kc, kv, kh), (kc, sc, h, w))
+            if rows is not None and rows > 1:
+                held = (ko * kv * kh + kc + ko) * sc * (w + 2 * (kh // 2)) * 8
+                assert held * (rows + 2 * (kv // 2)) <= tensor.STRIP_BYTES
+
     def test_reference_strips_at_512(self):
         # 9 rows of 514 columns of 12 * 9 planes fill the 4 MB budget, so
-        # both 12-channel convs of the reference model keep 7 rows a strip
-        for shape in ((24, 12, 3, 3), (12, 24, 3, 3)):
-            assert tensor._strip_rows(shape, (shape[1], 1, 512, 512)) == 7
+        # the expanding 12 -> 24 conv keeps 9 - 2 = 7 rows a strip.  The
+        # contracting 24 -> 12 conv also holds its 24-channel padded input
+        # and 12-channel accumulator, 108 + 24 + 12 = 144 planes: 7 rows of
+        # them fill the budget, so it keeps 7 - 2 = 5 rows a strip
+        assert tensor._strip_rows((24, 12, 3, 3), (12, 1, 512, 512)) == 7
+        assert tensor._strip_rows((12, 24, 3, 3), (24, 1, 512, 512)) == 5
+
+
+REFERENCE_CONVS = [(6, 1), (12, 6), (24, 12), (12, 24), (6, 12), (1, 6)]
+
+
+class TestStripThreads:
+    """Strips run on up to two pool threads with the bytes of one."""
+
+    @pytest.mark.parametrize("h,w", [(256, 256), (256, 130), (200, 200)])
+    @pytest.mark.parametrize("ko,kc", REFERENCE_CONVS)
+    def test_convs_and_adjoints_keep_their_bytes(self, ko, kc, h, w, monkeypatch):
+        rng = np.random.default_rng((ko, kc, h, w))
+        kernel = rng.normal(size=(ko, kc, 3, 3))
+        x, y = rng.normal(size=(kc, 1, h, w)), rng.normal(size=(ko, 1, h, w))
+        got = {}
+        for threads in (1, 2):
+            monkeypatch.setattr(tensor, "STRIP_THREADS", threads)
+            got[threads] = tensor.conv2d(kernel, x).tobytes(), tensor.conv2d_adjoint(kernel, y).tobytes()
+        assert got[1] == got[2]
+
+    @pytest.mark.parametrize("size", [64, 256, 512, 130, 200])
+    def test_predict_keeps_its_bytes(self, size, monkeypatch):
+        model = build_toy(seed=1)
+        rng = np.random.default_rng(size)
+        for b in model.enc_biases + model.dec_biases:
+            b.value[:] = rng.uniform(-0.05, 0.05, size=b.value.shape)
+        y = rng.uniform(size=(1, 1, size, size))
+        got = []
+        for threads in (1, 2):
+            monkeypatch.setattr(tensor, "STRIP_THREADS", threads)
+            got.append(model.predict(y).tobytes())
+        assert got[0] == got[1]
+
+    def test_one_thread_runs_strips_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(tensor, "STRIP_THREADS", 1)
+        threads, conv_rows = set(), tensor._conv_rows
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return conv_rows(*args, **kwargs)
+
+        monkeypatch.setattr(tensor, "_conv_rows", recorded)
+        tensor.conv2d(np.ones((24, 12, 3, 3)), np.ones((12, 1, 256, 256)))
+        assert threads == {threading.get_ident()}
+
+    def test_a_strip_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(tensor, "STRIP_THREADS", 2)
+        rng = np.random.default_rng(19)
+        kernel, x = rng.normal(size=(24, 12, 3, 3)), rng.normal(size=(12, 1, 256, 256))
+        started, conv_rows = [], tensor._conv_rows
+
+        def second_fails(kernel, signal, rows, out=None):
+            started.append(rows.start)
+            if rows.start > 0:
+                raise MemoryError("strip")
+            return conv_rows(kernel, signal, rows, out)
+
+        monkeypatch.setattr(tensor, "_conv_rows", second_fails)
+        raised = []
+
+        def call():
+            try:
+                tensor.conv2d(kernel, x)
+            except MemoryError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(60)
+        assert not caller.is_alive(), "the conv hung"
+        assert [str(exc) for exc in raised] == ["strip"]
+        strips = len(range(0, 256, tensor._strip_rows(kernel.shape, x.shape)))
+        assert len(started) < strips  # no further strip started
+        # the pool's threads survive a strip's error
+        monkeypatch.setattr(tensor, "_conv_rows", conv_rows)
+        assert tensor.conv2d(kernel, x).tobytes() == tensor._conv_forward(kernel, x)[0].tobytes()
+
+    def test_a_forked_child_runs_a_conv(self, monkeypatch):
+        monkeypatch.setattr(tensor, "STRIP_THREADS", 2)
+        rng = np.random.default_rng(20)
+        kernel, x = rng.normal(size=(24, 12, 3, 3)), rng.normal(size=(12, 1, 256, 256))
+        want = hashlib.sha256(tensor.conv2d(kernel, x).tobytes()).hexdigest()  # the pool is up
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+
+        def child():
+            send.send(hashlib.sha256(tensor.conv2d(kernel, x).tobytes()).hexdigest())
+
+        proc = ctx.Process(target=child)
+        proc.start()
+        try:
+            proc.join(60)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+                pytest.fail("the forked child's conv hung")
+            assert proc.exitcode == 0
+            assert receive.recv() == want
+        finally:
+            receive.close()
+            send.close()
 
 
 class TestWrapWindow:
