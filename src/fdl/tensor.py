@@ -49,25 +49,28 @@ extension that their taps read, and writes them into the output, so a
 conv holds a strip's stack instead of the image's (56 MB for a 12 -> 24
 channel 3x3 conv at 256x256).
 
-The strips of a conv run on a pool of :data:`STRIP_THREADS` threads: two
-when the process may run on two or more CPUs, none on one CPU, where the
-caller's thread runs them in row order.  numpy releases the GIL in a
-strip's matrix product, copies and adds, and each strip writes only its
-own output rows, so the output bytes do not depend on the thread count.
-The memory contract: a conv holds its input, its output and at most two
-strips, each within :data:`STRIP_BYTES`.  A contracting strip counts its
+The strips of a conv run on :data:`STRIP_THREADS` threads: on one CPU,
+the caller's, in row order; otherwise two workers of a module-level
+``ThreadPoolExecutor``.  numpy releases the GIL in a strip's matrix
+product, copies and adds, and each strip writes only its own output
+rows, so the output bytes do not depend on the thread count.  The memory
+contract: a conv holds its input, its output and at most two strips,
+each within :data:`STRIP_BYTES`.  A contracting strip counts its
 wrap-padded input and its accumulator in that budget beside its tap
 products; a product of an expanding strip over a one-column signal goes
-straight into the output rows.  The pool starts its threads on the first
-conv that takes strips, so a process that never takes strips never
-starts them.  A strip never queues work on the pool, where two threads
-waiting on their own strips would deadlock, and it calls only
+straight into the output rows.  A conv's jobs take strip starts from one
+shared iterator; after a strip's error none starts, and the error
+reaches the caller once the running strips have finished.  The executor,
+and ``concurrent.futures`` with it, is created on the first conv that
+takes strips.  Its workers are not daemon threads; the interpreter joins
+them, idle, at exit.  A strip never submits work to the pool, where two
+workers waiting on their own strips would deadlock, and it calls only
 :func:`_conv_rows` and the stack and fold under it: never
 :func:`conv2d`, :func:`_conv_forward` or :func:`_shift_stack`, which a
 profiler may wrap assuming one thread (the bench's tracer does).  A
-forked child drops the parent's pool, whose threads it does not have,
-and starts its own on first use, so a process pool's workers may call
-:func:`conv2d`.
+forked child drops the parent's executor, whose workers it does not
+have, and creates its own on first use, so a process pool's workers may
+call :func:`conv2d`.
 
 Every output sample sums its taps in tap order, at the image's wrap as
 anywhere else: a fold forms its tap products on the signal wrap-padded by
@@ -349,7 +352,7 @@ STRIP_THREADS = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 
-_strip_jobs = None  # job queue of the strip pool's threads, started on first use
+_strip_pool = None  # ThreadPoolExecutor of the strips, started on first use
 _strip_lock = threading.Lock()
 
 
@@ -380,69 +383,13 @@ def _strip_rows(kernel_shape, signal_shape):
     return -(-h // strips)
 
 
-def _strip_pool():
-    """The job queue of the strip pool, whose :data:`STRIP_THREADS`
-    threads are started on first use."""
-    global _strip_jobs
-    with _strip_lock:
-        if _strip_jobs is None:
-            from queue import SimpleQueue
-
-            _strip_jobs = SimpleQueue()
-            for _ in range(STRIP_THREADS):
-                threading.Thread(target=_serve, args=(_strip_jobs,), name="fdl-strip", daemon=True).start()
-        return _strip_jobs
-
-
-def _serve(jobs):
-    while True:
-        jobs.get()()
-
-
 def _forget_strip_pool():
     """In a forked child: the parent's pool threads do not exist there."""
-    global _strip_jobs, _strip_lock
-    _strip_jobs, _strip_lock = None, threading.Lock()
+    global _strip_pool, _strip_lock
+    _strip_pool, _strip_lock = None, threading.Lock()
 
 
 os.register_at_fork(after_in_child=_forget_strip_pool)
-
-
-def _run_strips(strip, starts):
-    """``strip(r0)`` for every ``r0`` of ``starts``, at most
-    :data:`STRIP_THREADS` at a time.
-
-    Each pool thread takes the next start until none is left, so a conv
-    queues one job per thread.  After a strip's error no further strip
-    starts, and the error reaches the caller once the strips already
-    running have finished.
-    """
-    if STRIP_THREADS < 2 or len(starts) < 2:
-        for r0 in starts:
-            strip(r0)
-        return
-    todo = iter(starts)  # shared by the threads; taking a start holds the GIL
-    errors = []
-    finished = threading.Semaphore(0)
-
-    def work():
-        try:
-            for r0 in todo:
-                strip(r0)
-        except BaseException as exc:  # re-raised by the caller
-            errors.append(exc)
-            for _ in todo:
-                pass
-        finally:
-            finished.release()
-
-    jobs = _strip_pool()
-    for _ in range(STRIP_THREADS):
-        jobs.put(work)
-    for _ in range(STRIP_THREADS):
-        finished.acquire()
-    if errors:
-        raise errors[0]
 
 
 def _conv_strips(kernel, signal, rows):
@@ -452,17 +399,40 @@ def _conv_strips(kernel, signal, rows):
     Each strip forms its own output rows alone, from the windows of the
     input's periodic extension that its taps read, and writes them into
     the output, so every output row is formed once and the strips may run
-    in any order (:func:`_run_strips`).
+    in any order: on one thread in row order, on the caller's; otherwise
+    in one job per thread on the strip pool, each taking the next start
+    from a shared iterator.  A job whose strip fails drains the iterator
+    and re-raises; the caller raises the first job's error only once
+    every job is done, so after the running strips have finished.
     """
     ko = kernel.shape[0]
     sc, h, w = signal.shape[1:]
     out = np.empty((ko, sc, h, w))
+    starts = iter(range(0, h, rows))  # shared by the jobs; taking one holds the GIL
 
-    def strip(r0):
-        # the strip's stack or products are dropped on return
-        _conv_rows(kernel, signal, range(r0, min(r0 + rows, h)), out)
+    def work():
+        try:
+            for r0 in starts:
+                # the strip's stack or products are dropped on return
+                _conv_rows(kernel, signal, range(r0, min(r0 + rows, h)), out)
+        except BaseException:  # re-raised once no further strip starts
+            for _ in starts:
+                pass
+            raise
 
-    _run_strips(strip, range(0, h, rows))
+    if STRIP_THREADS < 2:
+        work()
+        return out
+    global _strip_pool
+    with _strip_lock:
+        if _strip_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _strip_pool = ThreadPoolExecutor(STRIP_THREADS, thread_name_prefix="fdl-strip")
+        jobs = [_strip_pool.submit(work) for _ in range(STRIP_THREADS)]
+    for error in [job.exception() for job in jobs]:  # waits for every job
+        if error is not None:
+            raise error
     return out
 
 

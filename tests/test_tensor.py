@@ -2,7 +2,10 @@
 
 import hashlib
 import multiprocessing
+import subprocess
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +17,7 @@ from fdl.errors import ConfigError, NumericError, ShapeError
 
 from fdl.framelets import framelet_forward, framelet_inverse, haar_dwt
 from fdl.training import build_toy
+from cli_env import cli_env
 from oracles import (
     block_diag_bank,
     conv2d_reference,
@@ -581,6 +585,74 @@ class TestStripThreads:
         # the pool's threads survive a strip's error
         monkeypatch.setattr(tensor, "_conv_rows", conv_rows)
         assert tensor.conv2d(kernel, x).tobytes() == tensor._conv_forward(kernel, x)[0].tobytes()
+
+    def test_a_strip_error_waits_for_the_running_strips(self, monkeypatch):
+        monkeypatch.setattr(tensor, "STRIP_THREADS", 2)
+        rng = np.random.default_rng(22)
+        kernel, x = rng.normal(size=(24, 12, 3, 3)), rng.normal(size=(12, 1, 256, 256))
+        unblocked, events, conv_rows = threading.Event(), [], tensor._conv_rows
+
+        def first_waits(kernel, signal, rows, out=None):
+            if rows.start > 0:
+                unblocked.set()
+                raise MemoryError("strip")
+            unblocked.wait(60)
+            time.sleep(0.2)  # time for a caller that did not wait to raise first
+            events.append("strip 0 finished")
+            return conv_rows(kernel, signal, rows, out)
+
+        monkeypatch.setattr(tensor, "_conv_rows", first_waits)
+
+        def call():
+            try:
+                tensor.conv2d(kernel, x)
+            except MemoryError:
+                events.append("caller raised")
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(60)
+        assert not caller.is_alive(), "the conv hung"
+        assert events == ["strip 0 finished", "caller raised"]
+
+    def test_concurrent_callers_get_their_bytes(self, monkeypatch):
+        monkeypatch.setattr(tensor, "STRIP_THREADS", 2)
+        rng = np.random.default_rng(23)
+        convs = [
+            (rng.normal(size=(ko, kc, 3, 3)), rng.normal(size=(kc, 1, 256, 256))) for ko, kc in ((24, 12), (12, 24))
+        ]
+        want = [tensor._conv_forward(kernel, x)[0].tobytes() for kernel, x in convs]
+        together, got = threading.Barrier(2), {}
+
+        def call(name):
+            together.wait(60)
+            got[name] = [tensor.conv2d(kernel, x).tobytes() for kernel, x in convs]
+
+        callers = [threading.Thread(target=call, args=(name,), daemon=True) for name in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+            assert not caller.is_alive(), "a conv hung"
+        assert got == {0: want, 1: want}
+
+    def test_the_interpreter_exits_after_a_strip_conv(self, tmp_path):
+        # the pool's workers are joined at exit; a process that never took
+        # strips has not imported concurrent.futures
+        code = (
+            "import sys, threading, numpy as np\n"
+            "from fdl import tensor\n"
+            "tensor.STRIP_THREADS = 2\n"
+            "tensor.conv2d(np.ones((24, 12, 3, 3)), np.ones((12, 1, 64, 64)))\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "tensor.conv2d(np.ones((24, 12, 3, 3)), np.ones((12, 1, 256, 256)))\n"
+            "assert any(t.name.startswith('fdl-strip') for t in threading.enumerate())\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+            env=cli_env(), timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_a_forked_child_runs_a_conv(self, monkeypatch):
         monkeypatch.setattr(tensor, "STRIP_THREADS", 2)
